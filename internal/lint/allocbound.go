@@ -38,7 +38,7 @@ var allocFreeContract = map[string][]string{
 		"Slab.Get", "Slab.Free",
 	},
 	"gurita/internal/netmod": {
-		"Allocator.waterfill", "Allocator.registerCounts", "Allocator.freeze",
+		"Allocator.collect", "Allocator.enlist", "Allocator.waterfill", "Allocator.freeze",
 	},
 	"gurita/internal/sim": {
 		"Simulator.advanceTo",

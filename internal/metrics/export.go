@@ -20,7 +20,11 @@ import (
 //
 // v2: result documents carry engine counters (Result.Counters), so v1
 // entries decode without them and must not satisfy v2 lookups.
-const CampaignSchema = "gurita-campaign-v2"
+//
+// v3: the rate allocator solves each connected component of flows on its
+// own, which moves rates (and so every result) by float rounding, and the
+// counters gained netmod_components_solved and netmod_flows_solved.
+const CampaignSchema = "gurita-campaign-v3"
 
 // WorkerManifestSchema versions the per-worker manifest shards multi-process
 // campaigns write under <cache>/manifests/ (runner.WorkerManifest). It is a

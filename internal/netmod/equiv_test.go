@@ -13,7 +13,8 @@ import (
 // flow with a Rate bit-identical to what a from-scratch batch Allocate over
 // the same flow set produces. These tests drive random churn sequences over
 // random topologies and compare against the batch reference after every
-// step, in both SPQ and WRR modes.
+// step, in both SPQ and WRR modes, and certify every solve with the
+// independent CheckMaxMin.
 
 // churnHarness pairs an incrementally maintained allocator with a batch
 // reference over the same topology.
@@ -25,6 +26,16 @@ type churnHarness struct {
 	rng  *rand.Rand
 	live []*FlowDemand // flows registered with inc
 	refl []*FlowDemand // parallel batch copies, same order
+	// override mirrors the capacity overrides in force on both allocators.
+	override map[topo.LinkID]float64
+}
+
+// capacity is the faulted fabric CheckMaxMin certifies against.
+func (h *churnHarness) capacity(l topo.LinkID) float64 {
+	if c, ok := h.override[l]; ok {
+		return c
+	}
+	return h.tp.LinkCapacity(l)
 }
 
 func newChurnHarness(t *testing.T, tp *topo.Topology, queues int, mode Mode, seed int64) *churnHarness {
@@ -36,7 +47,8 @@ func newChurnHarness(t *testing.T, tp *topo.Topology, queues int, mode Mode, see
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &churnHarness{t: t, tp: tp, inc: inc, ref: ref, rng: rand.New(rand.NewSource(seed))}
+	return &churnHarness{t: t, tp: tp, inc: inc, ref: ref, rng: rand.New(rand.NewSource(seed)),
+		override: map[topo.LinkID]float64{}}
 }
 
 // randomFlow builds a flow over a random server pair (sometimes host-local)
@@ -60,10 +72,25 @@ func (h *churnHarness) randomFlow() *FlowDemand {
 	return f
 }
 
-// step applies one random delta to the incremental allocator.
+// step applies one random delta to the incremental allocator: a flow
+// added, removed, requeued or recapped, or a link failed, degraded or
+// restored (mirrored into the batch reference, which models the same
+// fabric).
 func (h *churnHarness) step() {
-	op := h.rng.Intn(10)
+	op := h.rng.Intn(12)
 	switch {
+	case op >= 10:
+		l := topo.LinkID(h.rng.Intn(h.tp.NumLinks()))
+		if op == 11 {
+			delete(h.override, l)
+			h.inc.ClearLinkCapacity(l)
+			h.ref.ClearLinkCapacity(l)
+			return
+		}
+		c := h.tp.LinkCapacity(l) * float64(h.rng.Intn(3)) / 4 // down, 1/4 or 1/2
+		h.override[l] = c
+		h.inc.SetLinkCapacity(l, c)
+		h.ref.SetLinkCapacity(l, c)
 	case len(h.live) == 0 || op < 4: // add
 		f := h.randomFlow()
 		h.inc.Register(f)
@@ -84,8 +111,8 @@ func (h *churnHarness) step() {
 	}
 }
 
-// check reallocates incrementally and compares every rate exactly against a
-// batch solve of copied demands.
+// check reallocates incrementally, compares every rate exactly against a
+// batch solve of copied demands, and certifies the result.
 func (h *churnHarness) check(stepNo int) {
 	h.inc.Reallocate()
 
@@ -103,6 +130,9 @@ func (h *churnHarness) check(stepNo int) {
 			h.t.Fatalf("step %d: flow %d (queue %d, %d links): incremental rate %v != batch rate %v",
 				stepNo, i, f.Queue, len(f.Path), got, want)
 		}
+	}
+	if err := CheckMaxMin(h.live, h.capacity, h.inc.Mode()); err != nil {
+		h.t.Fatalf("step %d: %v", stepNo, err)
 	}
 }
 
@@ -123,8 +153,8 @@ func testTopologies(t *testing.T) map[string]*topo.Topology {
 }
 
 // TestIncrementalMatchesBatchUnderChurn is the allocator equivalence
-// property test: random flow churn, every rate compared exactly after every
-// reallocation.
+// property test: random flow and link-capacity churn, every rate compared
+// exactly after every reallocation and certified by CheckMaxMin.
 func TestIncrementalMatchesBatchUnderChurn(t *testing.T) {
 	const steps = 400
 	for name, tp := range testTopologies(t) {

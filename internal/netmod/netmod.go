@@ -12,11 +12,13 @@
 //
 // The allocator is delta-driven: callers Register flows once, report
 // changes with Update, retire flows with Unregister, and call Reallocate to
-// refresh rates. Reallocate re-solves only from the lowest priority tier a
-// delta touched — under SPQ, tiers above it are provably unaffected — while
-// producing rates bit-identical to a from-scratch solve (see Reallocate).
-// The batch Allocate entry point is retained as a thin wrapper and as the
-// reference implementation the equivalence tests compare against.
+// refresh rates. The canonical allocation is solved per connected component
+// (flows linked through shared links, across all tiers), so Reallocate
+// re-solves only the components a delta touched while producing rates
+// bit-identical to a from-scratch solve (see Reallocate). The batch Allocate
+// entry point is retained as a thin wrapper and as the reference the
+// equivalence tests compare against; CheckMaxMin is an independent
+// certificate for any solve's output.
 package netmod
 
 import (
@@ -69,12 +71,10 @@ type FlowDemand struct {
 	// Rate is the allocator's output, in bytes/second.
 	Rate float64
 
-	frozen bool
-
-	// Delta-engine bookkeeping (valid while registered).
+	// Allocator bookkeeping (valid while registered).
 	registered bool
 	tier       int     // clamped Queue; -1 for host-local flows
-	tierIdx    int     // index into Allocator.byQueue[tier] (or local)
+	idx        int32   // index into Allocator.fabric (or local)
 	capSeen    float64 // MaxRate at the last Register/Update
 }
 
@@ -93,71 +93,76 @@ type Allocator struct {
 	queues int
 	eta    float64 // target utilization used when deriving WRR weights
 
-	capacity func(topo.LinkID) float64
-	// override holds per-link capacity overrides set by SetLinkCapacity
-	// (failed or degraded links); -1 means "no override, use the topology
-	// capacity". nil until the first override — the fault-free path never
-	// touches it.
-	override []float64
+	capacity func(topo.LinkID) float64 // the topology's nominal capacities
+	// linkCap is each link's effective capacity: the nominal one, or what
+	// SetLinkCapacity put in force on a failed or degraded link.
+	linkCap  []float64
 	residual []float64
-	count    []int32
 
 	// Persistent registries maintained by Register/Unregister/Update.
-	used    []topo.LinkID // links crossed by >= 1 registered flow
-	usedIdx []int32       // position of a link in used; -1 when absent
-	linkRef []int32       // per-link registered-flow crossing count
-	byQueue [][]*FlowDemand
-	local   []*FlowDemand // registered host-local flows (empty paths)
+	fabric    []*FlowDemand // registered fabric flows; f.idx is the index
+	local     []*FlowDemand // registered host-local flows (empty paths)
+	tierN     []int         // registered fabric flows per tier
+	linkFlows [][]int32     // per-link fabric indices of the crossing flows
+	// hopPos[f.idx][h] is f's position in linkFlows[f.Path[h]], for O(1)
+	// swap-removes; inner slices stay pooled, so registering does not allocate.
+	hopPos [][]int32
+	// listed holds every link whose flow list was ever allocated (a link
+	// joins on its first registration), so Reset clears only those.
+	listed []topo.LinkID
 
-	// tierRes[q][l] snapshots the residual capacity of link l at the start
-	// of tier q's water-fill during the last solve. Restoring tierRes[q]
-	// reproduces exactly the link state a from-scratch solve would present
-	// to tier q, which is what makes the partial re-solve bit-exact.
-	tierRes [][]float64
-	// dirtyMin is the lowest tier touched by a delta since the last
-	// Reallocate; == queues when no delta is pending.
-	dirtyMin int
+	// Pending work: links whose components a delta touched since the last
+	// Reallocate, or every component at once.
+	seeds    []topo.LinkID
+	allDirty bool
+
+	// Component search state: the epoch stamps what the current Reallocate
+	// reached (it only grows, so older stamps never match); compLinks and
+	// fills hold the component in hand.
+	epoch     uint32
+	linkMark  []uint64 // per link: epoch<<32 | flows reached through it
+	flowSeen  []uint32
+	livePos   []int32 // per fabric index: position in the running fill, or -1
+	compLinks []topo.LinkID
+	fills     []fill // one per tier; fills[0] also carries the WRR spill
 
 	// Reusable scratch (no per-Reallocate allocation).
 	wrrShares  []float64
-	wrrWeights []float64
+	wrrWeights []float64 // the weights every solved component was filled with
+	wrrNext    []float64
 	pool       []float64
-	spill      []*FlowDemand
-	touched    []topo.LinkID // links with >= 1 unfrozen crossing flow, compacted
-	touchedIdx []int32       // per-link position in touched (valid for touched links)
-	linkFlows  [][]int32     // per-link unfrozen-flow (work index) lists for the fill
 	satBuf     []topo.LinkID // links that saturated in the current round
-	work       []*FlowDemand // stable snapshot of the fill's unfrozen flows
-	workN      int           // high-water mark of work entries holding pointers
-	live       []int32       // work indices still unfrozen, compacted between rounds
-	livePos    []int32       // work index -> position in live
+	spill      []int32       // the component's flows, gathered for the WRR spill
 
-	// Cumulative work counters (see Stats). Plain increments on paths that
-	// already do real work, so they cost nothing measurable and — being
-	// derived purely from the demand trajectory — are deterministic.
-	stReallocs   int64
-	stTierSolves int64
-	stWFRounds   int64
+	// Cumulative work counters (see Stats), deterministic and all but free.
+	stReallocs    int64
+	stComponents  int64
+	stTierSolves  int64
+	stFlowsSolved int64
+	stWFRounds    int64
 }
 
-// Stats are cumulative allocator work counters since construction: how many
-// Reallocate calls did work, how many per-tier water-fill passes ran (SPQ
-// suffix re-solves, WRR guaranteed-share phases and spill passes all count),
-// and how many progressive-filling rounds those passes iterated. They are a
-// pure function of the demand trajectory, so identical runs report identical
-// stats; the engine folds them into Result.Counters.
+// Stats are cumulative work counters since construction: Reallocate calls
+// that did work, components they re-solved, water-fill passes (one per SPQ
+// tier, WRR weighted phase and spill of a component), the flows those passes
+// filled, and their progressive-filling rounds. They are a pure function of
+// the demand trajectory; the engine folds them into Result.Counters.
 type Stats struct {
-	Reallocs        int64
-	TierSolves      int64
-	WaterfillRounds int64
+	Reallocs         int64
+	ComponentsSolved int64
+	TierSolves       int64
+	FlowsSolved      int64
+	WaterfillRounds  int64
 }
 
 // Stats returns the allocator's cumulative work counters.
 func (a *Allocator) Stats() Stats {
 	return Stats{
-		Reallocs:        a.stReallocs,
-		TierSolves:      a.stTierSolves,
-		WaterfillRounds: a.stWFRounds,
+		Reallocs:         a.stReallocs,
+		ComponentsSolved: a.stComponents,
+		TierSolves:       a.stTierSolves,
+		FlowsSolved:      a.stFlowsSolved,
+		WaterfillRounds:  a.stWFRounds,
 	}
 }
 
@@ -187,24 +192,23 @@ func NewAllocator(t *topo.Topology, queues int, mode Mode, opts ...Option) (*All
 		queues:     queues,
 		eta:        0.95,
 		capacity:   t.LinkCapacity,
+		linkCap:    make([]float64, n),
 		residual:   make([]float64, n),
-		count:      make([]int32, n),
-		usedIdx:    make([]int32, n),
-		linkRef:    make([]int32, n),
-		byQueue:    make([][]*FlowDemand, queues),
-		tierRes:    make([][]float64, queues),
-		dirtyMin:   queues,
+		tierN:      make([]int, queues),
+		linkFlows:  make([][]int32, n),
+		linkMark:   make([]uint64, n),
+		fills:      make([]fill, queues),
 		wrrShares:  make([]float64, queues),
 		wrrWeights: make([]float64, queues),
+		wrrNext:    make([]float64, queues),
 		pool:       make([]float64, n),
-		touchedIdx: make([]int32, n),
-		linkFlows:  make([][]int32, n),
 	}
-	for i := range a.usedIdx {
-		a.usedIdx[i] = -1
+	for l := range a.linkCap {
+		a.linkCap[l] = t.LinkCapacity(topo.LinkID(l))
 	}
-	for q := range a.tierRes {
-		a.tierRes[q] = make([]float64, n)
+	for q := range a.fills {
+		a.fills[q].count = make([]int32, n)
+		a.fills[q].touchedIdx = make([]int32, n)
 	}
 	for _, o := range opts {
 		o(a)
@@ -225,63 +229,26 @@ func (a *Allocator) Mode() Mode { return a.mode }
 // typical 10G capacities.
 const epsRate = 1e-3 // bytes/second
 
-// linkCap returns link l's effective capacity: the override when one is in
-// force, the topology capacity otherwise.
-func (a *Allocator) linkCap(l topo.LinkID) float64 {
-	if a.override != nil {
-		if c := a.override[l]; c >= 0 {
-			return c
-		}
-	}
-	return a.capacity(l)
-}
-
 // SetLinkCapacity overrides link l's capacity to c bytes/second (0 = the
 // link is down) until ClearLinkCapacity. The override takes effect at the
-// next Reallocate: if the link currently carries registered flows the whole
-// fabric is re-solved from the top tier (the changed entering capacity can
-// shift every tier's water level), otherwise only the stored snapshots are
-// refreshed so a later Register sees the new value. Overrides survive Reset
+// next Reallocate, which re-solves the component of the flows crossing l
+// (a link no flow crosses has nothing to re-solve). Overrides survive Reset
 // and batch Allocate calls — they model the fabric, not the working set.
-func (a *Allocator) SetLinkCapacity(l topo.LinkID, c float64) {
-	if c < 0 {
-		c = 0
-	}
-	if a.override == nil {
-		a.override = make([]float64, len(a.residual))
-		for i := range a.override {
-			a.override[i] = -1
-		}
-	}
-	a.override[l] = c
-	a.capacityChanged(l)
-}
+func (a *Allocator) SetLinkCapacity(l topo.LinkID, c float64) { a.setCap(l, max(c, 0)) }
 
-// ClearLinkCapacity removes link l's capacity override.
-func (a *Allocator) ClearLinkCapacity(l topo.LinkID) {
-	if a.override == nil || a.override[l] < 0 {
+// ClearLinkCapacity restores link l's nominal capacity.
+func (a *Allocator) ClearLinkCapacity(l topo.LinkID) { a.setCap(l, a.capacity(l)) }
+
+// setCap puts capacity c in force on link l and, when that changes it,
+// queues the component of the flows crossing l for re-solving.
+func (a *Allocator) setCap(l topo.LinkID, c float64) {
+	//lint:ignore floatcmp change detection: an unchanged capacity leaves every rate as it is, bit for bit
+	if c == a.linkCap[l] {
 		return
 	}
-	a.override[l] = -1
-	a.capacityChanged(l)
-}
-
-// capacityChanged refreshes the per-tier residual snapshots of link l after
-// its effective capacity moved. For a link with registered flows the
-// snapshot entering tier 0 is the capacity itself and every later tier's
-// snapshot is stale, so the next Reallocate re-solves from tier 0 — exactly
-// the arithmetic a from-scratch solve with the new capacity performs. For an
-// unused link the snapshots simply track the capacity a future Register
-// would copy in.
-func (a *Allocator) capacityChanged(l topo.LinkID) {
-	c := a.linkCap(l)
-	if a.linkRef[l] > 0 {
-		a.tierRes[0][l] = c
-		a.dirtyMin = 0
-		return
-	}
-	for q := range a.tierRes {
-		a.tierRes[q][l] = c
+	a.linkCap[l] = c
+	if len(a.linkFlows[l]) > 0 {
+		a.seeds = append(a.seeds, l)
 	}
 }
 
@@ -298,8 +265,8 @@ func (a *Allocator) clampQueue(q int) int {
 
 // Register adds a flow to the allocator's working set. Host-local flows
 // (empty path) receive their rate immediately and never dirty the fabric;
-// fabric flows mark their tier dirty. Registering an already-registered
-// flow is a no-op.
+// fabric flows mark their component dirty. Registering an already-
+// registered flow is a no-op.
 func (a *Allocator) Register(f *FlowDemand) {
 	if f.registered {
 		return
@@ -307,39 +274,37 @@ func (a *Allocator) Register(f *FlowDemand) {
 	f.registered = true
 	f.capSeen = f.MaxRate
 	if len(f.Path) == 0 {
-		// Host-local transfer: the fabric does not constrain it.
+		// Host-local transfer: the fabric does not constrain it, so an
+		// uncapped one runs at the nominal line rate whatever faults hold.
 		f.tier = -1
-		f.tierIdx = len(a.local)
+		f.idx = int32(len(a.local))
 		a.local = append(a.local, f)
 		f.Rate = f.MaxRate
 		if f.Rate == 0 {
-			f.Rate = a.linkCap(0)
+			f.Rate = a.capacity(0)
 		}
-		f.frozen = true
 		return
 	}
 	f.Rate = 0
-	f.frozen = false
-	t := a.clampQueue(f.Queue)
-	f.tier = t
-	f.tierIdx = len(a.byQueue[t])
-	a.byQueue[t] = append(a.byQueue[t], f)
+	f.tier = a.clampQueue(f.Queue)
+	a.tierN[f.tier]++
+	f.idx = int32(len(a.fabric))
+	a.fabric = append(a.fabric, f)
+	if int(f.idx) == len(a.hopPos) {
+		a.hopPos = append(a.hopPos, nil)
+		a.flowSeen = append(a.flowSeen, 0)
+		a.livePos = append(a.livePos, -1)
+	}
+	pos := a.hopPos[f.idx][:0]
 	for _, l := range f.Path {
-		if a.linkRef[l] == 0 {
-			a.usedIdx[l] = int32(len(a.used))
-			a.used = append(a.used, l)
-			// A link no registered flow crossed carries no load at any
-			// tier, so its residual entering every tier is its capacity.
-			c := a.linkCap(l)
-			for q := range a.tierRes {
-				a.tierRes[q][l] = c
-			}
+		if cap(a.linkFlows[l]) == 0 {
+			a.listed = append(a.listed, l)
 		}
-		a.linkRef[l]++
+		pos = append(pos, int32(len(a.linkFlows[l])))
+		a.linkFlows[l] = append(a.linkFlows[l], f.idx)
 	}
-	if t < a.dirtyMin {
-		a.dirtyMin = t
-	}
+	a.hopPos[f.idx] = pos
+	a.seeds = append(a.seeds, f.Path[0])
 }
 
 // Unregister removes a flow from the working set. Unregistering a flow that
@@ -350,25 +315,49 @@ func (a *Allocator) Unregister(f *FlowDemand) {
 	}
 	f.registered = false
 	if f.tier < 0 {
-		a.removeLocal(f)
+		last := len(a.local) - 1
+		moved := a.local[last]
+		a.local[f.idx] = moved
+		moved.idx = f.idx
+		a.local[last] = nil
+		a.local = a.local[:last]
 		return
 	}
-	a.removeFromTier(f)
-	for _, l := range f.Path {
-		a.linkRef[l]--
-		if a.linkRef[l] == 0 {
-			i := a.usedIdx[l]
-			last := len(a.used) - 1
-			moved := a.used[last]
-			a.used[i] = moved
-			a.usedIdx[moved] = i
-			a.used = a.used[:last]
-			a.usedIdx[l] = -1
+	a.tierN[f.tier]--
+	i, pos := f.idx, a.hopPos[f.idx]
+	for h, l := range f.Path {
+		fl := a.linkFlows[l]
+		last := int32(len(fl) - 1)
+		g := fl[last]
+		fl[pos[h]] = g
+		// Repoint the moved flow's hop on l (matched by position, so a path
+		// crossing l twice stays consistent).
+		gp := a.hopPos[g]
+		for k, gl := range a.fabric[g].Path {
+			if gl == l && gp[k] == last {
+				gp[k] = pos[h]
+				break
+			}
+		}
+		a.linkFlows[l] = fl[:last]
+	}
+	// Removing f can split its component: every remaining piece on its path
+	// is re-solved. The seeds also keep Dirty() true when nothing is left to
+	// re-solve, because under WRR the tier shares moved.
+	a.seeds = append(a.seeds, f.Path...)
+	// The last fabric flow takes f's index, in its link lists too.
+	last := int32(len(a.fabric) - 1)
+	m := a.fabric[last]
+	a.fabric[i] = m
+	a.hopPos[i], a.hopPos[last] = a.hopPos[last], a.hopPos[i]
+	m.idx = i
+	if m != f {
+		for h, l := range m.Path {
+			a.linkFlows[l][a.hopPos[i][h]] = i
 		}
 	}
-	if f.tier < a.dirtyMin {
-		a.dirtyMin = f.tier
-	}
+	a.fabric[last] = nil
+	a.fabric = a.fabric[:last]
 }
 
 // Update notifies the allocator that a registered flow's Queue or MaxRate
@@ -379,128 +368,94 @@ func (a *Allocator) Update(f *FlowDemand) {
 	if !f.registered {
 		return
 	}
+	//lint:ignore floatcmp change detection on a caller-set field: bitwise compare is intended; an epsilon would silently drop small real updates
+	capMoved := f.MaxRate != f.capSeen
+	f.capSeen = f.MaxRate
 	if f.tier < 0 {
-		//lint:ignore floatcmp change detection on a caller-set field: bitwise compare is intended; an epsilon would silently drop small real updates
-		if f.MaxRate != f.capSeen {
-			f.capSeen = f.MaxRate
+		if capMoved {
 			f.Rate = f.MaxRate
 			if f.Rate == 0 {
-				f.Rate = a.linkCap(0)
+				f.Rate = a.capacity(0)
 			}
 		}
 		return
 	}
 	if t := a.clampQueue(f.Queue); t != f.tier {
-		old := f.tier
-		a.removeFromTier(f)
+		a.tierN[f.tier]--
+		a.tierN[t]++
 		f.tier = t
-		f.tierIdx = len(a.byQueue[t])
-		a.byQueue[t] = append(a.byQueue[t], f)
-		if old < a.dirtyMin {
-			a.dirtyMin = old
-		}
-		if t < a.dirtyMin {
-			a.dirtyMin = t
-		}
+	} else if !capMoved {
+		return
 	}
-	//lint:ignore floatcmp change detection on a caller-set field: bitwise compare is intended; an epsilon would silently drop small real updates
-	if f.MaxRate != f.capSeen {
-		f.capSeen = f.MaxRate
-		if f.tier < a.dirtyMin {
-			a.dirtyMin = f.tier
-		}
-	}
-}
-
-// removeFromTier swap-removes a fabric flow from its tier registry.
-func (a *Allocator) removeFromTier(f *FlowDemand) {
-	fl := a.byQueue[f.tier]
-	last := len(fl) - 1
-	moved := fl[last]
-	fl[f.tierIdx] = moved
-	moved.tierIdx = f.tierIdx
-	fl[last] = nil
-	a.byQueue[f.tier] = fl[:last]
-}
-
-// removeLocal swap-removes a host-local flow from the local registry.
-func (a *Allocator) removeLocal(f *FlowDemand) {
-	last := len(a.local) - 1
-	moved := a.local[last]
-	a.local[f.tierIdx] = moved
-	moved.tierIdx = f.tierIdx
-	a.local[last] = nil
-	a.local = a.local[:last]
+	a.seeds = append(a.seeds, f.Path[0])
 }
 
 // Dirty reports whether any delta since the last Reallocate requires rates
 // to be recomputed.
-func (a *Allocator) Dirty() bool { return a.dirtyMin < a.queues }
+func (a *Allocator) Dirty() bool { return a.allDirty || len(a.seeds) > 0 }
 
 // Reset unregisters every flow, returning the allocator to its initial
 // state. The next Reallocate after new registrations runs a full solve.
 func (a *Allocator) Reset() {
-	for q := range a.byQueue {
-		for i, f := range a.byQueue[q] {
-			f.registered = false
-			a.byQueue[q][i] = nil
-		}
-		a.byQueue[q] = a.byQueue[q][:0]
+	for i, f := range a.fabric {
+		f.registered = false
+		a.fabric[i] = nil
+	}
+	a.fabric = a.fabric[:0]
+	// Every listed link, not the registered paths: batch callers may already
+	// have rewritten the structs they registered last time.
+	for _, l := range a.listed {
+		a.linkFlows[l] = a.linkFlows[l][:0]
 	}
 	for i, f := range a.local {
 		f.registered = false
 		a.local[i] = nil
 	}
 	a.local = a.local[:0]
-	for _, l := range a.used {
-		a.linkRef[l] = 0
-		a.usedIdx[l] = -1
-	}
-	a.used = a.used[:0]
-	a.dirtyMin = 0
+	clear(a.tierN)
+	a.seeds = a.seeds[:0]
+	a.allDirty = true
 }
 
-// Reallocate recomputes rates after deltas. Under SPQ it restores the link
-// residuals snapshotted at the start of the lowest dirty tier and re-runs
-// the water-fill for that tier and every one below it; higher tiers keep
-// their rates. This is bit-identical to a from-scratch solve: a tier's
-// water-fill depends only on its own flow set and on the residual capacity
-// higher tiers left behind, and both are unchanged for tiers above the
-// lowest delta (progressive filling itself is iteration-order independent,
-// so re-solving a suffix of tiers replays exactly the arithmetic the batch
-// path would perform). Under WRR every delta forces a full re-solve, because
-// the demand-share weights couple all tiers. No-op when nothing is dirty.
+// Reallocate recomputes rates after deltas. The canonical allocation is
+// per connected component — flows linked through shared links, across all
+// tiers — and Reallocate re-solves exactly the components a delta reached,
+// each one alone: flows that share no link with a delta keep their rates.
+// This is bit-identical to a from-scratch solve, which runs the same
+// per-component fill over every component: a component's solve depends only
+// on its own flows, their links' capacities and (under WRR) the global tier
+// weights, and progressive filling is iteration-order independent, so the
+// order in which components or their flows are reached changes nothing.
+// WRR weights couple all components through the tier shares, so a bitwise
+// weight change re-solves everything. No-op when nothing is dirty.
 func (a *Allocator) Reallocate() {
-	if a.dirtyMin >= a.queues {
+	if !a.Dirty() {
 		return
 	}
 	a.stReallocs++
-	switch a.mode {
-	case ModeSPQ:
-		start := a.dirtyMin
-		res := a.tierRes[start]
-		for _, l := range a.used {
-			a.residual[l] = res[l]
-		}
-		for q := start; q < a.queues; q++ {
-			if q > start {
-				snap := a.tierRes[q]
-				for _, l := range a.used {
-					snap[l] = a.residual[l]
-				}
-			}
-			fl := a.byQueue[q]
-			for _, f := range fl {
-				f.Rate = 0
-				f.frozen = false
-			}
-			a.registerCounts(fl)
-			a.waterfill(fl)
-		}
-	case ModeWRR:
-		a.reallocateWRR()
+	if a.epoch++; a.epoch == 0 { // wrapped: clear the stamps so none is stale
+		clear(a.linkMark)
+		clear(a.flowSeen)
+		a.epoch = 1
 	}
-	a.dirtyMin = a.queues
+	if a.mode == ModeWRR && a.refreshWeights() {
+		a.allDirty = true
+	}
+	if a.allDirty {
+		for i, f := range a.fabric {
+			if a.flowSeen[i] != a.epoch {
+				a.solve(f.Path[0])
+			}
+		}
+	} else {
+		for _, l := range a.seeds {
+			if uint32(a.linkMark[l]>>32) != a.epoch && len(a.linkFlows[l]) > 0 {
+				a.solve(l)
+			}
+		}
+	}
+	a.seeds = a.seeds[:0]
+	a.allDirty = false
 }
 
 // Allocate assigns Rate to every flow in flows, replacing any previously
@@ -525,25 +480,15 @@ func (a *Allocator) Allocate(flows []*FlowDemand) {
 	a.Reallocate()
 	// An empty flow set registers nothing, leaving Reset's forced dirty
 	// marker in place; clear it so Dirty() stays accurate.
-	a.dirtyMin = a.queues
+	a.allDirty = false
 }
 
-// reallocateWRR implements the two-phase WRR emulation from the persistent
-// registries: phase one gives each tier its guaranteed weight share of every
-// link; phase two pools the leftovers and water-fills across all still-
-// unsatisfied flows, making the discipline work conserving like a real WRR
-// scheduler.
-func (a *Allocator) reallocateWRR() {
-	for _, l := range a.used {
-		a.residual[l] = a.linkCap(l)
-	}
+// refreshWeights recomputes the WRR tier weights from the registered tier
+// sizes and reports whether they moved bitwise since the last solve.
+func (a *Allocator) refreshWeights() bool {
 	total := 0.0
-	for q := range a.byQueue {
-		for _, f := range a.byQueue[q] {
-			f.Rate = 0
-			f.frozen = false
-		}
-		a.wrrShares[q] = float64(len(a.byQueue[q]))
+	for q, n := range a.tierN {
+		a.wrrShares[q] = float64(n)
 		total += a.wrrShares[q]
 	}
 	if total > 0 {
@@ -551,131 +496,158 @@ func (a *Allocator) reallocateWRR() {
 			a.wrrShares[q] /= total
 		}
 	}
-	weights := starvationWeightsInto(a.wrrWeights, a.wrrShares, a.eta)
-
-	// Phase 1: per-tier guaranteed share. We shrink each touched link's
-	// residual to the tier's slice, run the water-fill, then return what the
-	// tier did not consume to the common pool.
-	for _, l := range a.used {
-		a.pool[l] = a.residual[l]
-		a.residual[l] = 0
-	}
-	for q := 0; q < a.queues; q++ {
-		if len(a.byQueue[q]) == 0 {
-			continue
-		}
-		for _, l := range a.used {
-			a.residual[l] = a.pool[l] * weights[q]
-		}
-		a.registerCounts(a.byQueue[q])
-		a.waterfill(a.byQueue[q])
-		for _, l := range a.used {
-			// Whatever the tier left of its slice returns to the pool as
-			// "unguaranteed" capacity, shrinking the pool by what was used.
-			a.pool[l] -= a.pool[l]*weights[q] - a.residual[l]
-			a.residual[l] = 0
+	next := starvationWeightsInto(a.wrrNext, a.wrrShares, a.eta)
+	for q, w := range next {
+		//lint:ignore floatcmp a component keeps its rates only while the weights it was filled with are bitwise current; an epsilon would let stale rates survive
+		if w != a.wrrWeights[q] {
+			a.wrrNext, a.wrrWeights = a.wrrWeights, next
+			return true
 		}
 	}
-
-	// Phase 2: spill leftover capacity to every flow not yet at its cap.
-	for _, l := range a.used {
-		a.residual[l] = a.pool[l]
-	}
-	spill := a.spill[:0]
-	for q := 0; q < a.queues; q++ {
-		for _, f := range a.byQueue[q] {
-			if f.MaxRate > 0 && fmath.AtLeast(f.Rate, f.MaxRate, epsRate) {
-				continue
-			}
-			f.frozen = false
-			spill = append(spill, f)
-		}
-	}
-	a.registerCounts(spill)
-	a.waterfill(spill)
-	for i := range spill {
-		spill[i] = nil
-	}
-	a.spill = spill[:0]
+	return false
 }
 
-// registerCounts builds the water-fill's working indexes in one pass over
-// fl: the per-link unfrozen crossing counts, the compacted touched-link
-// list (with per-link positions so freezes can swap-remove), the per-link
-// flow lists the freeze sweep walks when a link saturates, and the stable
-// work/live arrays the rounds iterate. Link lists hold int32 work indices,
-// not pointers, so resetting them never touches the GC.
+// fill is one water-fill's working set: its live flows and, per link, how
+// many of them cross it. The allocator keeps one per tier so the component
+// search can sort flows straight into their tier's fill.
+type fill struct {
+	count      []int32       // per-link unfrozen crossing count
+	touchedIdx []int32       // per-link position in touched (valid for touched links)
+	touched    []topo.LinkID // links with count > 0, compacted
+	live       []int32       // fabric indices of the unfrozen flows, compacted
+	level      float64       // water level: a live flow's rate is Rate+level
+}
+
+// enlist adds f to fill fl, counted on every link of its path, and on the
+// same walk extends the component search: links first reached join
+// compLinks, and every link counts the flows reached through it.
 //
-//alloc:free one pass over fl reusing the allocator's pooled index arrays
-func (a *Allocator) registerCounts(fl []*FlowDemand) {
-	for _, l := range a.used {
-		a.count[l] = 0
+//alloc:free appends into the pooled fill and search arrays
+func (a *Allocator) enlist(fl *fill, f *FlowDemand) {
+	fl.live = append(fl.live, f.idx)
+	for _, l := range f.Path {
+		if fl.count[l] == 0 {
+			fl.touchedIdx[l] = int32(len(fl.touched))
+			fl.touched = append(fl.touched, l)
+		}
+		fl.count[l]++
+		m := a.linkMark[l]
+		if uint32(m>>32) != a.epoch {
+			m = uint64(a.epoch) << 32
+			a.compLinks = append(a.compLinks, l)
+		}
+		a.linkMark[l] = m + 1
 	}
-	work := a.work[:0]
-	live := a.live[:0]
-	touched := a.touched[:0]
-	for _, f := range fl {
-		if f.frozen {
-			continue
-		}
-		j := int32(len(work))
-		work = append(work, f)
-		live = append(live, j)
-		if int(j) < len(a.livePos) {
-			a.livePos[j] = j
-		} else {
-			a.livePos = append(a.livePos, j)
-		}
-		for _, l := range f.Path {
-			if a.count[l] == 0 {
-				a.touchedIdx[l] = int32(len(touched))
-				touched = append(touched, l)
-				a.linkFlows[l] = a.linkFlows[l][:0]
-			}
-			a.count[l]++
-			a.linkFlows[l] = append(a.linkFlows[l], j)
-		}
-	}
-	// Drop demand pointers only beyond this fill's length: consecutive
-	// fills are similarly sized, so the per-call clearing cost is the size
-	// delta, not the whole working set.
-	n := len(work)
-	if a.workN > n {
-		tail := work[n:a.workN]
-		for i := range tail {
-			tail[i] = nil
-		}
-	}
-	a.work, a.workN = work, n
-	a.live = live
-	a.touched = touched
 }
 
-// freeze retires work flow j from the current fill: its path counts drop,
+// freeze retires f from fill fl at the current level: its path counts drop,
 // links left with no unfrozen crossing flow leave the touched list, and the
 // flow leaves the live set. All removals are O(1) swap-removes.
 //
-//alloc:free swap-removes over the compacted work/live/touched arrays
-func (a *Allocator) freeze(j int32) {
-	f := a.work[j]
-	f.frozen = true
+//alloc:free swap-removes over the compacted live/touched arrays
+func (a *Allocator) freeze(fl *fill, f *FlowDemand) {
+	f.Rate += fl.level
 	for _, l := range f.Path {
-		a.count[l]--
-		if a.count[l] == 0 {
-			ti := a.touchedIdx[l]
-			last := len(a.touched) - 1
-			lastL := a.touched[last]
-			a.touched[ti] = lastL
-			a.touchedIdx[lastL] = ti
-			a.touched = a.touched[:last]
+		fl.count[l]--
+		if fl.count[l] == 0 {
+			ti := fl.touchedIdx[l]
+			last := len(fl.touched) - 1
+			lastL := fl.touched[last]
+			fl.touched[ti] = lastL
+			fl.touchedIdx[lastL] = ti
+			fl.touched = fl.touched[:last]
 		}
 	}
-	p := a.livePos[j]
-	last := int32(len(a.live) - 1)
-	lastJ := a.live[last]
-	a.live[p] = lastJ
-	a.livePos[lastJ] = p
-	a.live = a.live[:last]
+	p := a.livePos[f.idx]
+	last := len(fl.live) - 1
+	g := fl.live[last]
+	fl.live[p] = g
+	a.livePos[g], a.livePos[f.idx] = p, -1
+	fl.live = fl.live[:last]
+}
+
+// solve re-solves the connected component reached from seed. Under SPQ the
+// tiers fill in priority order, each from the residual the tiers above it
+// left; under WRR each tier fills its weight share of every link and the
+// leftover pool then spills over all flows below their caps. Every per-link
+// pass runs over the component's links only.
+func (a *Allocator) solve(seed topo.LinkID) {
+	a.stComponents++
+	a.collect(seed)
+	links := a.compLinks
+	if a.mode == ModeSPQ {
+		for _, l := range links {
+			a.residual[l] = a.linkCap[l]
+		}
+		for q := range a.fills {
+			a.waterfill(&a.fills[q], len(links))
+		}
+		return
+	}
+
+	// WRR phase 1: per-tier guaranteed share. Each tier fills its slice of
+	// every link, then returns what it did not consume to the pool.
+	spill := a.spill[:0]
+	for _, l := range links {
+		a.pool[l] = a.linkCap[l]
+	}
+	for q := range a.fills {
+		fl := &a.fills[q]
+		if len(fl.live) == 0 {
+			continue
+		}
+		// The fill empties as it runs; keep its flows for the spill.
+		spill = append(spill, fl.live...)
+		w := a.wrrWeights[q]
+		for _, l := range links {
+			a.residual[l] = a.pool[l] * w
+		}
+		a.waterfill(fl, len(links))
+		for _, l := range links {
+			a.pool[l] -= a.pool[l]*w - a.residual[l]
+		}
+	}
+	// Phase 2: spill leftover capacity to every flow not yet at its cap.
+	for _, l := range links {
+		a.residual[l] = a.pool[l]
+	}
+	fl := &a.fills[0]
+	for _, j := range spill {
+		if f := a.fabric[j]; f.MaxRate <= 0 || !fmath.AtLeast(f.Rate, f.MaxRate, epsRate) {
+			a.enlist(fl, f)
+		}
+	}
+	a.spill = spill
+	a.waterfill(fl, len(links))
+}
+
+// collect gathers the connected component containing seed by breadth-first
+// search over the persistent per-link flow lists: its links into compLinks,
+// and its flows, rates reset, straight into their tier's fill. No other
+// pass over the component's paths precedes the fills, and the search stops
+// scanning link lists once it has reached every registered flow.
+//
+//alloc:free one pass over the component reusing the allocator's pooled scratch
+func (a *Allocator) collect(seed topo.LinkID) {
+	a.compLinks = append(a.compLinks[:0], seed)
+	a.linkMark[seed] = uint64(a.epoch) << 32
+	reached := 0
+	for i := 0; i < len(a.compLinks) && reached < len(a.fabric); i++ {
+		l := a.compLinks[i]
+		if int(uint32(a.linkMark[l])) == len(a.linkFlows[l]) {
+			continue // every flow crossing l was reached through other links
+		}
+		for _, j := range a.linkFlows[l] {
+			if a.flowSeen[j] == a.epoch {
+				continue
+			}
+			a.flowSeen[j] = a.epoch
+			f := a.fabric[j]
+			f.Rate = 0
+			a.enlist(&a.fills[f.tier], f)
+			reached++
+		}
+	}
 }
 
 // capSlack over-bounds the float error the capLB bookkeeping in waterfill
@@ -687,40 +659,54 @@ func capSlack(x, d float64) float64 {
 	return 1e-12 * (math.Abs(x) + math.Abs(d) + 1)
 }
 
-// waterfill runs progressive filling over the working set registerCounts
-// just built against the current residual capacities: all unfrozen flows'
-// rates rise together; a flow freezes when a link on its path saturates or
-// it reaches MaxRate. Residuals are decremented in place.
+// waterfill runs progressive filling over fl against the current residual
+// capacities of the component's nLinks links: all live flows' rates rise
+// together by one shared water level, which a flow's rate takes on when it
+// freezes — a link on its path saturates or it reaches MaxRate. Residuals
+// are decremented in place, and fl is empty on return. An empty fill is a
+// no-op.
 //
 // Every structural shortcut below is a bit-exact rewrite of the naive full
 // scans — the iteration sets shrink, never the arithmetic:
 //
-//   - The round's water level d is a pure min, so scanning only touched
-//     links (all of which have count > 0 by construction) and skipping the
-//     cap scan when capLB proves no cap can bound d yields the same value.
-//   - Rate increments and count decrements commute, so freeze order within
-//     a round is free; a round's freeze set is determined by residuals
-//     fixed before the sweep, so walking only the flows of links that
-//     saturated this round (a.linkFlows) freezes exactly the flows the
-//     full per-flow path scan would.
+//   - The round's rise d is a pure min, so scanning only touched links (all
+//     of which have count > 0 by construction) and skipping the cap scan
+//     when capLB proves no cap can bound d yields the same value.
+//   - The shared level replaces a per-round pass over the live flows. A
+//     fill that starts from rate 0 (SPQ tiers, WRR weighted phases) gives
+//     each flow exactly the sum of the rounds' rises; the WRR spill adds
+//     the level to the phase-1 rate once.
+//   - Count decrements commute, so freeze order within a round is free; a
+//     round's freeze set is determined by residuals fixed before the sweep,
+//     so walking only the flows of links that saturated this round
+//     (a.linkFlows, filtered by livePos)
+//     freezes exactly the flows the full per-flow path scan would.
 //   - capLB conservatively lower-bounds the live flows' smallest cap
-//     headroom (MaxRate − Rate). It decides only whether the exact scans
+//     headroom (MaxRate − rate). It decides only whether the exact scans
 //     run, never what they compute, so its float slack (capSlack) cannot
 //     perturb rates.
 //
-//alloc:free the per-solve rounds run entirely over the pooled work arrays
-func (a *Allocator) waterfill(fl []*FlowDemand) {
+//alloc:free the per-solve rounds run entirely over the pooled fill arrays
+func (a *Allocator) waterfill(fl *fill, nLinks int) {
+	if len(fl.live) == 0 {
+		return
+	}
+	for p, j := range fl.live {
+		a.livePos[j] = int32(p)
+	}
+	fl.level = 0
 	a.stTierSolves++
+	a.stFlowsSolved += int64(len(fl.live))
 	// Each round saturates at least one link or caps at least one flow, so
 	// rounds are bounded; the guard protects against float corner cases.
-	maxRounds := len(a.used) + len(fl) + 2
+	maxRounds := nLinks + len(fl.live) + 2
 	capLB := math.Inf(-1) // forces an exact cap scan in round one
-	for round := 0; len(a.live) > 0 && round < maxRounds; round++ {
+	for round := 0; len(fl.live) > 0 && round < maxRounds; round++ {
 		a.stWFRounds++
 		// The water level can rise by the smallest per-link fair share...
 		linkMin := -1.0
-		for _, l := range a.touched {
-			s := a.residual[l] / float64(a.count[l])
+		for _, l := range fl.touched {
+			s := a.residual[l] / float64(fl.count[l])
 			if linkMin < 0 || s < linkMin {
 				linkMin = s
 			}
@@ -731,13 +717,13 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		if linkMin < 0 || linkMin > capLB {
 			rm := math.Inf(1)
 			hasCap := false
-			for _, j := range a.live {
-				f := a.work[j]
+			for _, j := range fl.live {
+				f := a.fabric[j]
 				if f.MaxRate <= 0 {
 					continue
 				}
 				hasCap = true
-				if room := f.MaxRate - f.Rate; room < rm {
+				if room := f.MaxRate - (f.Rate + fl.level); room < rm {
 					rm = room
 				}
 			}
@@ -754,11 +740,9 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		sweepCaps := !math.IsInf(capLB, 1) && capLB-d <= epsRate+capSlack(capLB, d)
 		a.satBuf = a.satBuf[:0]
 		if d > 0 {
-			for _, j := range a.live {
-				a.work[j].Rate += d
-			}
-			for _, l := range a.touched {
-				a.residual[l] -= d * float64(a.count[l])
+			fl.level += d
+			for _, l := range fl.touched {
+				a.residual[l] -= d * float64(fl.count[l])
 				if a.residual[l] < 0 {
 					a.residual[l] = 0
 				}
@@ -769,7 +753,7 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		} else {
 			// d == 0: nothing moved, but links may sit at (or below) the
 			// saturation tolerance already — their flows must still freeze.
-			for _, l := range a.touched {
+			for _, l := range fl.touched {
 				if a.residual[l] <= epsRate {
 					a.satBuf = append(a.satBuf, l)
 				}
@@ -780,11 +764,10 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		}
 		// Freeze capped flows (only when one can exist this round)...
 		if sweepCaps {
-			for i := 0; i < len(a.live); i++ {
-				j := a.live[i]
-				f := a.work[j]
-				if f.MaxRate > 0 && fmath.AtLeast(f.Rate, f.MaxRate, epsRate) {
-					a.freeze(j)
+			for i := 0; i < len(fl.live); i++ {
+				f := a.fabric[fl.live[i]]
+				if f.MaxRate > 0 && fmath.AtLeast(f.Rate+fl.level, f.MaxRate, epsRate) {
+					a.freeze(fl, f)
 					i--
 				}
 			}
@@ -792,10 +775,19 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		// ...then every flow crossing a link that saturated this round.
 		for _, l := range a.satBuf {
 			for _, j := range a.linkFlows[l] {
-				if !a.work[j].frozen {
-					a.freeze(j)
+				if a.livePos[j] >= 0 {
+					a.freeze(fl, a.fabric[j])
 				}
 			}
 		}
 	}
+	// Only the round guard or an unbounded fill leaves flows live.
+	for _, l := range fl.touched {
+		fl.count[l] = 0
+	}
+	for _, j := range fl.live {
+		a.fabric[j].Rate += fl.level
+		a.livePos[j] = -1
+	}
+	fl.touched, fl.live = fl.touched[:0], fl.live[:0]
 }

@@ -398,6 +398,7 @@ func BenchmarkAllocateSPQ(b *testing.B) {
 		dst := topo.ServerID(rng.Intn(ft.NumServers()))
 		fl = append(fl, &FlowDemand{Path: ft.Path(src, dst, rng.Uint64()), Queue: rng.Intn(4)})
 	}
+	a.Allocate(fl) // grow the pooled registries; the timed loop is steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -415,6 +416,7 @@ func BenchmarkAllocateWRR(b *testing.B) {
 		dst := topo.ServerID(rng.Intn(ft.NumServers()))
 		fl = append(fl, &FlowDemand{Path: ft.Path(src, dst, rng.Uint64()), Queue: rng.Intn(4)})
 	}
+	a.Allocate(fl) // grow the pooled registries; the timed loop is steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -423,8 +425,9 @@ func BenchmarkAllocateWRR(b *testing.B) {
 }
 
 // The delta benchmarks measure what the simulator actually pays per event:
-// one flow changes queue among 500 standing registrations, and Reallocate
-// re-solves only the dirty tier suffix (SPQ) or the coupled WRR system.
+// one flow changes queue among 500 standing registrations spread over the
+// whole fabric, so Reallocate re-solves the one component that spans almost
+// every flow (and, under WRR, the tier shares move, which dirties all).
 func BenchmarkReallocateDeltaSPQ(b *testing.B) { benchReallocateDelta(b, ModeSPQ) }
 func BenchmarkReallocateDeltaWRR(b *testing.B) { benchReallocateDelta(b, ModeWRR) }
 
@@ -447,6 +450,41 @@ func benchReallocateDelta(b *testing.B, mode Mode) {
 	for i := 0; i < b.N; i++ {
 		f := fl[i%len(fl)]
 		f.Queue = (f.Queue + 1) % 4
+		a.Update(f)
+		a.Reallocate()
+	}
+}
+
+// BenchmarkReallocateDeltaWRRSparse is the component-local case the bursty
+// figures hit: 512 flows pinned inside their racks on a 16-pod FatTree, so
+// the traffic splits into many small components. Each iteration toggles one
+// flow's cap, which leaves the tier shares (and so the WRR weights) alone,
+// and Reallocate re-solves only that flow's component.
+func BenchmarkReallocateDeltaWRRSparse(b *testing.B) {
+	ft, _ := topo.NewFatTree(16, 1.25e9)
+	a, _ := NewAllocator(ft, 4, ModeWRR)
+	rng := rand.New(rand.NewSource(5))
+	h := ft.K() / 2 // servers per rack
+	var fl []*FlowDemand
+	for i := 0; i < 512; i++ {
+		rack := rng.Intn(ft.NumServers() / h)
+		src := topo.ServerID(rack*h + rng.Intn(h))
+		dst := topo.ServerID(rack*h + (int(src)-rack*h+1+rng.Intn(h-1))%h)
+		fl = append(fl, &FlowDemand{Path: ft.Path(src, dst, rng.Uint64()), Queue: rng.Intn(4)})
+	}
+	for _, f := range fl {
+		a.Register(f)
+	}
+	a.Reallocate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := fl[i%len(fl)]
+		if f.MaxRate > 0 {
+			f.MaxRate = 0
+		} else {
+			f.MaxRate = 2e8
+		}
 		a.Update(f)
 		a.Reallocate()
 	}

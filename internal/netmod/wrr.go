@@ -36,26 +36,6 @@ func SPQWaitingTimes(rho []float64) []float64 {
 	return w
 }
 
-// WRRWeights converts per-queue demand shares into WRR weights that emulate
-// SPQ service order while preventing starvation. shares[k] is queue k's
-// fraction of total offered load (Σ shares ≤ 1, e.g. the fraction of active
-// flows in queue k); eta ∈ (0,1) is the assumed utilization, so
-// ρ_k = eta·shares[k].
-//
-// Derivation: under SPQ queue k's waiting time is
-// W_k = ρ_k / ((1−σ_{k−1})(1−σ_k)) with σ_k = ρ_0 + … + ρ_k. The emulation
-// serves each backlogged queue inversely to how long SPQ would make it
-// wait:
-//
-//	φ_k ∝ 1/W_k = (1 − σ_{k−1})(1 − σ_k) / ρ_k
-//
-// The top queue, whose SPQ wait is near zero, takes almost the whole link;
-// each lower queue keeps a strictly positive but sharply smaller guarantee
-// (bounded below through (1−σ_K) ≥ 1−η > 0), so low-priority traffic
-// transmits "at a much lower rate than higher priority traffic" (§IV.B)
-// instead of starving outright. Weights decrease strictly with k,
-// preserving priority order; they are normalized to sum to 1 over non-empty
-// queues, and empty queues get weight 0.
 // StarvationWeights composes the final per-queue link shares used by the
 // WRR emulation: the highest backlogged queue receives the utilization
 // target η outright — reproducing SPQ's behaviour for the traffic that
@@ -94,6 +74,26 @@ func starvationWeightsInto(w, shares []float64, eta float64) []float64 {
 	return w
 }
 
+// WRRWeights converts per-queue demand shares into WRR weights that emulate
+// SPQ service order while preventing starvation. shares[k] is queue k's
+// fraction of total offered load (Σ shares ≤ 1, e.g. the fraction of active
+// flows in queue k); eta ∈ (0,1) is the assumed utilization, so
+// ρ_k = eta·shares[k].
+//
+// Derivation: under SPQ queue k's waiting time is
+// W_k = ρ_k / ((1−σ_{k−1})(1−σ_k)) with σ_k = ρ_0 + … + ρ_k. The emulation
+// serves each backlogged queue inversely to how long SPQ would make it
+// wait:
+//
+//	φ_k ∝ 1/W_k = (1 − σ_{k−1})(1 − σ_k) / ρ_k
+//
+// The top queue, whose SPQ wait is near zero, takes almost the whole link;
+// each lower queue keeps a strictly positive but sharply smaller guarantee
+// (bounded below through (1−σ_K) ≥ 1−η > 0), so low-priority traffic
+// transmits "at a much lower rate than higher priority traffic" (§IV.B)
+// instead of starving outright. Weights decrease strictly with k,
+// preserving priority order; they are normalized to sum to 1 over non-empty
+// queues, and empty queues get weight 0.
 func WRRWeights(shares []float64, eta float64) []float64 {
 	return wrrWeightsInto(make([]float64, len(shares)), shares, eta)
 }

@@ -297,7 +297,8 @@ type Config struct {
 	InitWindow float64
 	// VerifyIncremental cross-checks every incremental reallocation against
 	// a from-scratch batch solve over the same flows and aborts the run on
-	// the first rate that is not bit-identical. A test/debug knob: it
+	// the first rate that is not bit-identical, then certifies the rates
+	// with the independent netmod.CheckMaxMin. A test/debug knob: it
 	// re-solves everything at every dirty event, forfeiting the incremental
 	// speedup.
 	VerifyIncremental bool
@@ -761,9 +762,11 @@ func (s *Simulator) Run() (*Result, error) {
 	})
 	st := s.alloc.Stats()
 	s.result.Counters = map[string]int64{
-		"netmod_reallocs":         st.Reallocs,
-		"netmod_tier_solves":      st.TierSolves,
-		"netmod_waterfill_rounds": st.WaterfillRounds,
+		"netmod_reallocs":          st.Reallocs,
+		"netmod_components_solved": st.ComponentsSolved,
+		"netmod_tier_solves":       st.TierSolves,
+		"netmod_flows_solved":      st.FlowsSolved,
+		"netmod_waterfill_rounds":  st.WaterfillRounds,
 	}
 	s.reg.Merge(s.result.Counters)
 	return &s.result, nil
@@ -1051,11 +1054,11 @@ func indexOf(cs []*coflow.Coflow, c *coflow.Coflow) int {
 // already done, and schedules the next completion event. Rates are
 // recomputed only when the event actually changed the demand set — a flow
 // was admitted or retired, a queue moved, or a cap ramped — and then only
-// from the lowest dirty priority tier down (see netmod.Reallocate). The
-// completion scan below always runs: it is O(active), allocation-free, and
-// re-deriving the next completion time from the same Remaining/Rate values
-// every event keeps the event trajectory bit-identical to the batch
-// engine's.
+// for the connected components the change reached (see
+// netmod.Reallocate). The completion scan below always runs: it is
+// O(active), allocation-free, and re-deriving the next completion time from
+// the same Remaining/Rate values every event keeps the event trajectory
+// bit-identical to the batch engine's.
 func (s *Simulator) reallocate() {
 	// Retire flows drained by advanceTo (batch completions at this instant).
 	// finishFlow swap-removes index i (so it is re-examined) and may start
@@ -1191,7 +1194,8 @@ func (s *Simulator) emitDecision(f *FlowState, dirty int32, isNew bool) {
 
 // checkAgainstBatch re-solves the current demand set with the reference
 // batch allocator on snapshot copies and records an error unless every rate
-// is bit-identical to the incremental result.
+// is bit-identical to the incremental result and passes the max-min
+// certificate against the faulted fabric.
 func (s *Simulator) checkAgainstBatch() {
 	s.verifyBuf = s.verifyBuf[:0]
 	s.verifyPtrs = s.verifyPtrs[:0]
@@ -1210,6 +1214,9 @@ func (s *Simulator) checkAgainstBatch() {
 				s.now, f.Flow.ID, f.Queue(), f.Demand.Rate, s.verifyBuf[i].Rate)
 			return
 		}
+	}
+	if err := netmod.CheckMaxMin(s.verifyPtrs, s.effCapacity, s.cfg.Mode); err != nil {
+		s.verifyErr = fmt.Errorf("sim: allocation at t=%v failed the max-min certificate: %w", s.now, err)
 	}
 }
 
