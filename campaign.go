@@ -9,8 +9,9 @@ import (
 	"strings"
 	"time"
 
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 	"gurita/internal/cachestore/httpstore"
-	"gurita/internal/lease"
 	"gurita/internal/metrics"
 	"gurita/internal/obs"
 	"gurita/internal/runner"
@@ -330,13 +331,16 @@ type MultiProcessOptions struct {
 	// no path separators; empty means DefaultWorkerID().
 	Owner string
 	// LeaseTTL is how long an unrenewed lease stays valid before peers may
-	// reclaim it (0 = lease.DefaultTTL). It bounds how long a SIGKILLed
-	// worker's trials stay stuck.
+	// reclaim it (0 = 5s). It bounds how long a SIGKILLed worker's trials
+	// stay stuck.
 	LeaseTTL time.Duration
-	// Heartbeat is the lease renewal interval (0 = LeaseTTL/3).
+	// Heartbeat is the lease renewal interval (0 = LeaseTTL/3). It must be
+	// shorter than LeaseTTL, or peers reclaim a live worker's leases;
+	// RunCampaign rejects it otherwise.
 	Heartbeat time.Duration
 	// MaxAttempts bounds the claim attempts per trial across all workers
-	// before the trial is quarantined as poisoned (0 = lease.DefaultMaxAttempts).
+	// before the trial is quarantined as poisoned (0 = 5). Negative values
+	// are rejected.
 	MaxAttempts int
 	// Registry receives the worker's operational counters (lease.*,
 	// runner.cache.*, runner.trials.*) and is snapshotted into the manifest
@@ -388,59 +392,37 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 	if opts.CacheDir != "" && opts.CacheURL != "" {
 		return nil, CampaignStats{}, errors.New("gurita: CacheDir and CacheURL are mutually exclusive; pick a local directory or a remote cache server")
 	}
-	var cache *runner.Cache
-	if opts.CacheDir != "" {
-		var err error
-		cache, err = runner.Open(opts.CacheDir, opts.schema())
-		if err != nil {
-			return nil, CampaignStats{}, err
-		}
-	}
-	// Multi-process mode: a lease layer over the shared cache plus the
-	// campaign's grid hash, which names this worker's manifest shard and lets
+	// Multi-process mode: the store's lease side coordinates workers, and
+	// the campaign's grid hash names this worker's manifest shard and lets
 	// shards from the same grid find each other. With CacheDir the leases are
 	// files in the cache; with CacheURL they live in the daemon's lease table.
+	mp := opts.MultiProcess
+	owner := DefaultWorkerID()
 	var (
-		mgr      *lease.Manager
-		owner    string
 		gridHash string
 		reg      *obs.SyncRegistry
+		counters cachestore.Counters // a nil interface without a registry
 	)
-	if mp := opts.MultiProcess; mp != nil {
-		if cache == nil && opts.CacheURL == "" {
+	if mp != nil {
+		if opts.CacheDir == "" && opts.CacheURL == "" {
 			return nil, CampaignStats{}, errors.New("gurita: multi-process campaigns need CacheDir or CacheURL (workers coordinate through the cache)")
 		}
 		if opts.Force {
 			return nil, CampaignStats{}, errors.New("gurita: Force re-executes unconditionally, which multi-process leases exist to prevent; drop one of them")
 		}
-		owner = mp.Owner
-		if owner == "" {
-			owner = DefaultWorkerID()
+		if opts.CacheURL != "" && (mp.LeaseTTL != 0 || mp.Heartbeat != 0 || mp.MaxAttempts != 0) {
+			// The daemon's clock is authoritative over remote leases; a
+			// client-side TTL would be a lie the protocol cannot honor.
+			return nil, CampaignStats{}, errors.New("gurita: remote-cache lease tuning is server-side; set -cache-lease-ttl/-cache-lease-max-attempts on guritad instead")
+		}
+		if mp.Owner != "" {
+			owner = mp.Owner
 		}
 		reg = mp.Registry
 		if reg == nil {
 			reg = obs.NewSyncRegistry()
 		}
-		if cache != nil {
-			cache.Counters = reg
-			var err error
-			mgr, err = lease.Open(lease.Config{
-				Dir:         filepath.Join(opts.CacheDir, runner.LeaseSubdir),
-				Owner:       owner,
-				Schema:      opts.schema(),
-				TTL:         mp.LeaseTTL,
-				Heartbeat:   mp.Heartbeat,
-				MaxAttempts: mp.MaxAttempts,
-				Counters:    reg,
-			})
-			if err != nil {
-				return nil, CampaignStats{}, err
-			}
-		} else if mp.LeaseTTL != 0 || mp.Heartbeat != 0 || mp.MaxAttempts != 0 {
-			// The daemon's clock is authoritative over remote leases; a
-			// client-side TTL would be a lie the protocol cannot honor.
-			return nil, CampaignStats{}, errors.New("gurita: remote-cache lease tuning is server-side; set -cache-lease-ttl/-cache-lease-max-attempts on guritad instead")
-		}
+		counters = reg
 		keys := make([]string, len(norm))
 		var err error
 		for i, s := range norm {
@@ -450,23 +432,26 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		}
 		gridHash = runner.GridHash(keys)
 	}
-	// Remote cache: the httpstore backend replaces the local Cache/Manager
-	// pair wholesale — same interfaces, different machine.
-	var remote *httpstore.Store
-	if opts.CacheURL != "" {
-		ro := owner
-		if ro == "" {
-			ro = DefaultWorkerID()
+	// One store for the campaign: the local directory (fsstore) or the remote
+	// daemon (httpstore) — same interfaces, different machine.
+	var store campaignStore
+	switch {
+	case opts.CacheDir != "":
+		cfg := fsstore.Config{Dir: opts.CacheDir, Schema: opts.schema(), Owner: owner, Counters: counters}
+		if mp != nil {
+			cfg.TTL, cfg.Heartbeat, cfg.MaxAttempts = mp.LeaseTTL, mp.Heartbeat, mp.MaxAttempts
 		}
-		cfg := httpstore.Config{BaseURL: opts.CacheURL, Schema: opts.schema(), Owner: ro}
-		if reg != nil {
-			cfg.Counters = reg
-		}
-		var err error
-		remote, err = httpstore.Open(cfg)
+		local, err := fsstore.OpenStore(cfg)
 		if err != nil {
 			return nil, CampaignStats{}, err
 		}
+		store = local
+	case opts.CacheURL != "":
+		remote, err := httpstore.Open(httpstore.Config{BaseURL: opts.CacheURL, Schema: opts.schema(), Owner: owner, Counters: counters})
+		if err != nil {
+			return nil, CampaignStats{}, err
+		}
+		store = remote
 	}
 	for _, dir := range []string{opts.ObsTraceDir, opts.ObsDumpDir} {
 		if dir != "" {
@@ -538,7 +523,6 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 	}
 	ropts := runner.Options{
 		Workers:         opts.Workers,
-		Cache:           cache,
 		Force:           opts.Force,
 		Progress:        opts.Progress,
 		TrialTimeout:    opts.TrialTimeout,
@@ -547,16 +531,13 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		Flight:          opts.Flight,
 		Gate:            opts.Gate,
 		Drain:           opts.Drain,
-		Lease:           mgr,
+		Store:           store,
 	}
-	if remote != nil {
-		ropts.Store = remote
-		if opts.MultiProcess != nil {
-			ropts.StoreLeases = remote
-		}
+	if mp != nil {
+		ropts.StoreLeases = store
 	}
 	docs, stats, err := runner.Run(ctx, norm, exec, ropts)
-	if opts.MultiProcess != nil {
+	if mp != nil {
 		// Fold the runner's trial tallies into the registry so the manifest
 		// shard's counters and its stats columns are cross-checkable (the
 		// chaos harness asserts they agree after merging), then flush the
@@ -567,19 +548,13 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		reg.Add("runner.trials.cache_hits", int64(stats.CacheHits))
 		reg.Add("runner.trials.dedup_hits", int64(stats.DedupHits))
 		m := runner.NewWorkerManifest(metrics.WorkerManifestSchema, owner, gridHash, stats, reg.Snapshot())
-		if remote != nil {
-			// Publish through the daemon so the shard lands in its cache
-			// dir's manifests/ subtree — exactly where a filesystem worker
-			// would have written it. Detached from ctx: a drained or failed
-			// campaign still accounts for itself, like the local-write path.
-			data, werr := runner.EncodeWorkerManifest(m)
-			if werr == nil {
-				werr = remote.PutManifest(context.WithoutCancel(ctx), runner.ManifestName(owner, gridHash), data)
-			}
-			if werr != nil && err == nil {
-				err = werr
-			}
-		} else if _, werr := runner.WriteWorkerManifest(opts.CacheDir, m); werr != nil && err == nil {
+		// Detached from ctx: a drained or failed campaign still accounts for
+		// itself.
+		data, werr := runner.EncodeWorkerManifest(m)
+		if werr == nil {
+			werr = store.PutManifest(context.WithoutCancel(ctx), runner.ManifestName(owner, gridHash), data)
+		}
+		if werr != nil && err == nil {
 			err = werr
 		}
 	}
@@ -595,6 +570,14 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		}
 	}
 	return results, stats, err
+}
+
+// campaignStore is the full surface of a campaign's result store; both
+// backends RunCampaign opens (fsstore, httpstore) provide all of it.
+type campaignStore interface {
+	cachestore.Store
+	cachestore.LeaseStore
+	cachestore.ManifestStore
 }
 
 // errorsIsDrained reports whether a campaign error is the drain soft-stop.

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	gurita "gurita"
 )
@@ -275,5 +276,52 @@ func TestTrialSpecNormalization(t *testing.T) {
 	}
 	if stats.CacheHits != 1 || stats.Executed != 0 {
 		t.Fatalf("normalized spec missed the cache: %+v", stats)
+	}
+}
+
+// TestCampaignMultiProcessLeaseTiming: lease timing that would let peers
+// reclaim a live worker's leases (a heartbeat no faster than the TTL) or
+// silently disable the poison budget (negative attempts) is rejected before
+// any trial runs; a sound configuration runs, publishes its manifest shard,
+// and leaves no leases behind.
+func TestCampaignMultiProcessLeaseTiming(t *testing.T) {
+	ctx := context.Background()
+	specs := campaignGrid()[:1]
+	bad := []gurita.MultiProcessOptions{
+		{LeaseTTL: time.Second, Heartbeat: time.Second},
+		{LeaseTTL: time.Second, Heartbeat: 2 * time.Second},
+		{Heartbeat: 10 * time.Second}, // >= the default TTL
+		{MaxAttempts: -1},
+		{LeaseTTL: -time.Second},
+		{Heartbeat: -time.Millisecond},
+	}
+	for i, mp := range bad {
+		mp := mp
+		dir := t.TempDir()
+		_, stats, err := gurita.RunCampaign(ctx, specs, gurita.CampaignOptions{CacheDir: dir, MultiProcess: &mp})
+		if err == nil || stats.Executed != 0 {
+			t.Errorf("case %d (%+v): err = %v, executed = %d; want rejection before execution", i, mp, err, stats.Executed)
+		}
+	}
+
+	dir := t.TempDir()
+	mp := &gurita.MultiProcessOptions{Owner: "w1", LeaseTTL: 2 * time.Second, Heartbeat: 500 * time.Millisecond, MaxAttempts: 2}
+	_, stats, err := gurita.RunCampaign(ctx, specs, gurita.CampaignOptions{CacheDir: dir, MultiProcess: mp})
+	if err != nil || stats.Executed != 1 {
+		t.Fatalf("sound multi-process run: stats = %+v, err = %v", stats, err)
+	}
+	if shards, _ := filepath.Glob(filepath.Join(dir, "manifests", "w1-*.json")); len(shards) != 1 {
+		t.Errorf("manifest shards = %v, want one for w1", shards)
+	}
+	if leases, _ := os.ReadDir(filepath.Join(dir, "leases")); len(leases) != 0 {
+		t.Errorf("leases left behind: %d", len(leases))
+	}
+	// A single-process campaign over a fresh directory never creates leases/.
+	plain := t.TempDir()
+	if _, _, err := gurita.RunCampaign(ctx, specs, gurita.CampaignOptions{CacheDir: plain}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(plain, "leases")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("single-process campaign created a leases dir: %v", err)
 	}
 }

@@ -10,7 +10,8 @@
 // return the published result bytes exactly; corruption is detected on read
 // and quarantined out of the entry namespace; concurrent claimants on one
 // key are arbitrated to a single holder; renewal keeps a lease alive past
-// its TTL while silence forfeits it; reclaim hands the key to a peer with
+// its TTL while silence forfeits it; the shared heartbeat loop renews until
+// stopped, cancelled, or taken over; reclaim hands the key to a peer with
 // the attempt lineage intact; the attempt budget converts a crash-looping
 // trial into a poison verdict peers inherit; and racing publishers of one
 // key converge on a single verified entry.
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"gurita/internal/cachestore"
+	"gurita/internal/leakcheck"
 )
 
 // Full is the complete backend surface: all three cachestore interfaces on
@@ -290,6 +292,85 @@ func Run(t *testing.T, factory func(t *testing.T) *Harness) {
 		if lb, err := b.Claim(ctx, key); err != nil || lb.State != cachestore.LeaseAcquired {
 			t.Fatalf("bob claim after release = (%+v, %v), want acquired", lb, err)
 		}
+	})
+
+	t.Run("HeartbeatLoop", func(t *testing.T) {
+		h := factory(t)
+		a, b := h.Open(t, "alice"), h.Open(t, "bob")
+
+		// Renewals driven by cachestore.StartHeartbeat keep a lease live for
+		// several TTLs while a peer keeps trying to take it.
+		_, key := specFor(t, a, 12)
+		if la, err := a.Claim(ctx, key); err != nil || la.State != cachestore.LeaseAcquired {
+			t.Fatalf("alice claim = (%+v, %v), want acquired", la, err)
+		}
+		hb := cachestore.StartHeartbeat(ctx, a, key)
+		for end := time.Now().Add(3 * h.TTL); time.Now().Before(end); time.Sleep(h.TTL / 5) {
+			if lb, err := b.Claim(ctx, key); err != nil || lb.State != cachestore.LeaseBusy {
+				t.Fatalf("bob's claim against a heartbeating lease = (%+v, %v), want busy", lb, err)
+			}
+		}
+		hb.Stop()
+		if hb.Lost() {
+			t.Fatalf("heartbeat reports a lost lease despite continuous renewal")
+		}
+		a.Release(ctx, key)
+
+		// Cancelling the heartbeat's context stops its goroutine without a
+		// Stop, and with it the renewals: the lease then expires for peers.
+		// The snapshot follows a first renewal so transport connections a
+		// backend keeps open are not charged to the heartbeat.
+		_, key = specFor(t, a, 13)
+		if la, err := a.Claim(ctx, key); err != nil || la.State != cachestore.LeaseAcquired {
+			t.Fatalf("alice claim = (%+v, %v), want acquired", la, err)
+		}
+		if err := a.Renew(ctx, key); err != nil {
+			t.Fatalf("renewal of a held lease failed: %v", err)
+		}
+		snap := leakcheck.Take()
+		hbCtx, cancel := context.WithCancel(ctx)
+		hb = cachestore.StartHeartbeat(hbCtx, a, key)
+		time.Sleep(2 * a.HeartbeatEvery())
+		cancel()
+		snap.Check(t)
+		hb.Stop()
+		if lb, err := b.Claim(ctx, key); err != nil || lb.State != cachestore.LeaseBusy {
+			t.Fatalf("bob's sighting claim = (%+v, %v), want busy", lb, err)
+		}
+		h.expire()
+		if lb, err := b.Claim(ctx, key); err != nil || lb.State != cachestore.LeaseAcquired || !lb.Reclaimed {
+			t.Fatalf("bob's claim after the heartbeat was cancelled = (%+v, %v), want reclaimed", lb, err)
+		}
+		b.Release(ctx, key)
+		a.Release(ctx, key)
+
+		// A peer takeover marks the heartbeat Lost and ends its loop; the
+		// usurper's lease is left alone.
+		_, key = specFor(t, a, 14)
+		if la, err := a.Claim(ctx, key); err != nil || la.State != cachestore.LeaseAcquired {
+			t.Fatalf("alice claim = (%+v, %v), want acquired", la, err)
+		}
+		if lb, err := b.Claim(ctx, key); err != nil || lb.State != cachestore.LeaseBusy {
+			t.Fatalf("bob's sighting claim = (%+v, %v), want busy", lb, err)
+		}
+		h.expire()
+		if lb, err := b.Claim(ctx, key); err != nil || lb.State != cachestore.LeaseAcquired || !lb.Reclaimed {
+			t.Fatalf("bob's reclaim = (%+v, %v), want reclaimed", lb, err)
+		}
+		snap = leakcheck.Take()
+		hb = cachestore.StartHeartbeat(ctx, a, key)
+		for end := time.Now().Add(4 * a.HeartbeatEvery()); !hb.Lost() && time.Now().Before(end); {
+			time.Sleep(a.HeartbeatEvery() / 4)
+		}
+		if !hb.Lost() {
+			t.Fatalf("heartbeat never noticed the takeover")
+		}
+		snap.Check(t)
+		hb.Stop()
+		if err := b.Renew(ctx, key); err != nil {
+			t.Fatalf("usurper's renewal after the lost heartbeat: %v", err)
+		}
+		b.Release(ctx, key)
 	})
 
 	t.Run("ReclaimAfterExpiry", func(t *testing.T) {

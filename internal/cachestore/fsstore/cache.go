@@ -1,6 +1,5 @@
 // Package fsstore is the shared-directory cachestore backend: the original
-// on-disk layout, refactored out of internal/runner and internal/lease and
-// byte-compatible with pre-existing cache dirs. One JSON envelope per trial,
+// on-disk layout, byte-compatible with pre-existing cache dirs. One JSON envelope per trial,
 // fanned out over 256 two-hex-digit shards; lease and poison files under
 // leases/; quarantined corruption evidence under quarantine/; per-worker
 // manifest shards under manifests/. Every worker process that mounts the same
@@ -190,37 +189,39 @@ func (c *Cache) Put(key string, spec, result json.RawMessage) error {
 	if err != nil {
 		return fmt.Errorf("fsstore: encoding cache entry: %w", err)
 	}
-	final := c.path(key)
-	shard := filepath.Dir(final)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return fmt.Errorf("fsstore: creating cache shard: %w", err)
+	return WriteFileAtomic(filepath.Dir(c.path(key)), key+".json", data)
+}
+
+// WriteFileAtomic is the one durable write protocol of the shared cache
+// directory, used for entries, lease records, poison markers, and manifest
+// shards alike: data goes to a temp file beside the target, is fsynced, and
+// is renamed over dir/base, and then dir itself is fsynced. A reader (or a
+// kill -9 survivor) sees the old file, the new file, or nothing, never a
+// torn write, and a crash cannot un-commit the rename. dir is created if
+// absent. Temp files are dot-prefixed so directory listings skip them.
+func WriteFileAtomic(dir, base string, data []byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("fsstore: creating %s: %w", dir, err)
 	}
-	tmp, err := os.CreateTemp(shard, "."+key[:8]+".tmp*")
+	tmp, err := os.CreateTemp(dir, "."+base+".tmp*")
 	if err != nil {
-		return fmt.Errorf("fsstore: creating cache temp file: %w", err)
+		return fmt.Errorf("fsstore: creating temp file for %s: %w", base, err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, base))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: writing cache entry: %w", err)
+		return fmt.Errorf("fsstore: writing %s: %w", base, err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: syncing cache entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: closing cache entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: committing cache entry: %w", err)
-	}
-	if err := SyncDir(shard); err != nil {
-		return err
-	}
-	return nil
+	return SyncDir(dir)
 }
 
 // SyncDir fsyncs a directory so a just-renamed entry survives a crash.

@@ -11,10 +11,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gurita/internal/cachestore"
-	"gurita/internal/lease"
 )
 
 // Config parameterizes a Store.
@@ -23,32 +23,60 @@ type Config struct {
 	Dir string
 	// Schema versions entries, leases, and poison markers.
 	Schema string
-	// Owner is this process's lease identity (host-pid works). Required only
-	// when the lease side of the store is used.
+	// Owner is this process's lease identity, stamped into every lease it
+	// takes. It must be unique across live workers sharing Dir (host-pid
+	// works) and filename-safe.
 	Owner string
-	// TTL / Heartbeat / MaxAttempts tune the lease protocol; zero values take
-	// the lease package defaults.
-	TTL         time.Duration
-	Heartbeat   time.Duration
+	// TTL is the staleness threshold: a lease whose (owner, seq) pair has
+	// been observed unchanged for longer than TTL may be reclaimed by any
+	// peer. 0 means DefaultTTL.
+	TTL time.Duration
+	// Heartbeat is the renewal period; it must be shorter than TTL or a busy
+	// worker looks dead. 0 means TTL/3.
+	Heartbeat time.Duration
+	// MaxAttempts bounds how many times a trial may be claimed across all
+	// workers before it is poisoned (quarantined). 0 means
+	// DefaultMaxAttempts.
 	MaxAttempts int
-	// Counters, when non-nil, receives the store's operational counters.
+	// Counters, when non-nil, receives the store's operational counters
+	// (runner.cache.* and lease.*).
 	Counters cachestore.Counters
 }
 
-// Store adapts the shared-directory layout (Cache + lease.Manager + the
-// manifests/ subtree) to the cachestore interfaces. One Store is one
-// process's handle on one cache root; it is safe for concurrent use.
-//
-// The lease side keeps one *lease.Claim handle per acquired key: campaign
-// grids deduplicate keys before execution and the lease protocol itself
-// admits one holder per key, so a single handle per key per process is an
-// invariant, not a limitation.
-type Store struct {
-	cache *Cache
-	mgr   *lease.Manager
+// Default lease timing. TTL trades reclaim latency against false takeovers
+// under scheduler stalls; both are safe (duplicates publish identical
+// bytes), so the default leans toward fast recovery.
+const (
+	DefaultTTL         = 5 * time.Second
+	DefaultMaxAttempts = 5
+)
 
-	mu     sync.Mutex
-	claims map[string]*lease.Claim
+// Store is one process's handle on one shared cache root: the entry Cache,
+// the lease protocol over <dir>/leases/ (see lease.go), and the manifests/
+// subtree, behind the cachestore interfaces. It is safe for concurrent use.
+type Store struct {
+	cache    *Cache
+	cfg      Config // validated, defaults applied
+	leaseDir string
+
+	// clock overrides the wall clock in tests; nil means time.Now.
+	clock func() time.Time
+
+	mu sync.Mutex
+	// obs tracks busy peers' (owner, seq) sightings per key, the basis of
+	// the mtime-free staleness judgment.
+	obs map[string]observation
+	// held maps every key this handle holds a lease on to whether a renewal
+	// or release has found it taken over by a peer. Campaign grids
+	// deduplicate keys and the protocol admits one holder per key, so one
+	// hold per key per handle is an invariant, not a limitation.
+	held map[string]bool
+
+	acquired  atomic.Int64
+	reclaimed atomic.Int64
+	lost      atomic.Int64
+	released  atomic.Int64
+	poisoned  atomic.Int64
 }
 
 var (
@@ -57,40 +85,46 @@ var (
 	_ cachestore.ManifestStore = (*Store)(nil)
 )
 
-// OpenStore opens (creating if needed) the full filesystem store at cfg.Dir.
+// OpenStore validates cfg and opens (creating if needed) the filesystem
+// store at cfg.Dir. The leases/ subtree is created on the first claim, so a
+// store that never coordinates leaves the cache layout untouched.
 func OpenStore(cfg Config) (*Store, error) {
+	if cfg.Owner == "" {
+		return nil, errors.New("fsstore: Config.Owner must not be empty")
+	}
+	if strings.ContainsAny(cfg.Owner, "/\x00") {
+		return nil, fmt.Errorf("fsstore: owner %q must be filename-safe", cfg.Owner)
+	}
+	if cfg.TTL < 0 || cfg.Heartbeat < 0 || cfg.MaxAttempts < 0 {
+		return nil, fmt.Errorf("fsstore: lease TTL (%v), heartbeat (%v), and max attempts (%d) must be >= 0", cfg.TTL, cfg.Heartbeat, cfg.MaxAttempts)
+	}
+	if cfg.TTL == 0 {
+		cfg.TTL = DefaultTTL
+	}
+	if cfg.Heartbeat >= cfg.TTL {
+		// Peers would see an unchanged (owner, seq) pair for a full TTL and
+		// reclaim a live worker's leases.
+		return nil, fmt.Errorf("fsstore: lease heartbeat (%v) must renew faster than the TTL (%v) expires", cfg.Heartbeat, cfg.TTL)
+	}
+	if cfg.Heartbeat == 0 {
+		cfg.Heartbeat = cfg.TTL / 3
+	}
+	if cfg.MaxAttempts == 0 {
+		cfg.MaxAttempts = DefaultMaxAttempts
+	}
 	c, err := Open(cfg.Dir, cfg.Schema)
 	if err != nil {
 		return nil, err
 	}
 	c.Counters = cfg.Counters
-	if cfg.Owner == "" {
-		return nil, errors.New("fsstore: Config.Owner must not be empty")
-	}
-	mgr, err := lease.Open(lease.Config{
-		Dir:         filepath.Join(cfg.Dir, cachestore.LeaseSubdir),
-		Owner:       cfg.Owner,
-		Schema:      cfg.Schema,
-		TTL:         cfg.TTL,
-		Heartbeat:   cfg.Heartbeat,
-		MaxAttempts: cfg.MaxAttempts,
-		Counters:    cfg.Counters,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Store{cache: c, mgr: mgr, claims: make(map[string]*lease.Claim)}, nil
+	return &Store{
+		cache:    c,
+		cfg:      cfg,
+		leaseDir: filepath.Join(cfg.Dir, cachestore.LeaseSubdir),
+		obs:      make(map[string]observation),
+		held:     make(map[string]bool),
+	}, nil
 }
-
-// WrapCacheAndManager builds a Store around an already-opened Cache and lease
-// Manager — the path the runner takes for callers that configured the legacy
-// Options.Cache/Options.Lease pair directly.
-func WrapCacheAndManager(c *Cache, mgr *lease.Manager) *Store {
-	return &Store{cache: c, mgr: mgr, claims: make(map[string]*lease.Claim)}
-}
-
-// Cache returns the underlying on-disk cache.
-func (s *Store) Cache() *Cache { return s.cache }
 
 // Schema returns the schema version entries are validated against.
 func (s *Store) Schema() string { return s.cache.Schema() }
@@ -116,109 +150,6 @@ func (s *Store) Quarantine(_ context.Context, key string) error {
 // Len counts stored entries, excluding bookkeeping subtrees.
 func (s *Store) Len(_ context.Context) int { return s.cache.Len() }
 
-// Owner returns the lease identity.
-func (s *Store) Owner() string { return s.mgr.Owner() }
-
-// TTL returns the lease staleness threshold.
-func (s *Store) TTL() time.Duration { return s.mgr.TTL() }
-
-// HeartbeatEvery returns the lease renewal period.
-func (s *Store) HeartbeatEvery() time.Duration { return s.mgr.Heartbeat() }
-
-// Claim attempts to take the lease for key; see lease.Manager.Claim.
-func (s *Store) Claim(_ context.Context, key string) (cachestore.Lease, error) {
-	c, err := s.mgr.Claim(key)
-	if err != nil {
-		return cachestore.Lease{}, err
-	}
-	switch c.State {
-	case lease.StateAcquired:
-		s.mu.Lock()
-		s.claims[key] = c
-		s.mu.Unlock()
-		return cachestore.Lease{State: cachestore.LeaseAcquired, Attempt: c.Attempt, Reclaimed: c.Reclaimed}, nil
-	case lease.StatePoisoned:
-		return cachestore.Lease{State: cachestore.LeasePoisoned, Poison: convertPoison(c.Poison)}, nil
-	default:
-		return cachestore.Lease{State: cachestore.LeaseBusy, Holder: c.Holder, Remaining: c.Remaining}, nil
-	}
-}
-
-// claim returns (without removing) the held handle for key.
-func (s *Store) claim(key string) *lease.Claim {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.claims[key]
-}
-
-// takeClaim removes and returns the held handle for key.
-func (s *Store) takeClaim(key string) *lease.Claim {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.claims[key]
-	delete(s.claims, key)
-	return c
-}
-
-// Renew extends the acquired lease on key by one logical heartbeat.
-func (s *Store) Renew(_ context.Context, key string) error {
-	c := s.claim(key)
-	if c == nil {
-		return cachestore.ErrLeaseLost
-	}
-	if err := c.Renew(); err != nil {
-		if errors.Is(err, lease.ErrLost) {
-			return cachestore.ErrLeaseLost
-		}
-		return err
-	}
-	return nil
-}
-
-// Release ends the acquired lease on key. Safe on lost or unknown leases.
-func (s *Store) Release(_ context.Context, key string) {
-	if c := s.takeClaim(key); c != nil {
-		c.Release()
-	}
-}
-
-// PoisonKey quarantines the claimed trial and releases the lease.
-func (s *Store) PoisonKey(_ context.Context, key, specHash string, attempts int, cause error) error {
-	c := s.takeClaim(key)
-	if c == nil {
-		return cachestore.ErrLeaseLost
-	}
-	return c.PoisonTrial(specHash, attempts, cause)
-}
-
-// Sweep removes stale leases among keys; see lease.Manager.Sweep.
-func (s *Store) Sweep(_ context.Context, keys []string) int { return s.mgr.Sweep(keys) }
-
-// LeaseStats snapshots the lease manager's lifetime counters.
-func (s *Store) LeaseStats() cachestore.LeaseStats {
-	st := s.mgr.Stats()
-	return cachestore.LeaseStats{
-		Acquired:  st.Acquired,
-		Reclaimed: st.Reclaimed,
-		Lost:      st.Lost,
-		Released:  st.Released,
-		Poisoned:  st.Poisoned,
-	}
-}
-
-func convertPoison(p *lease.Poison) *cachestore.Poison {
-	if p == nil {
-		return nil
-	}
-	return &cachestore.Poison{
-		Schema:   p.Schema,
-		Key:      p.Key,
-		SpecHash: p.SpecHash,
-		Attempts: p.Attempts,
-		Err:      p.Err,
-	}
-}
-
 // PutManifest atomically writes (or overwrites) the named manifest shard.
 func (s *Store) PutManifest(_ context.Context, name string, data []byte) error {
 	return PutManifestFile(s.cache.Dir(), name, data)
@@ -241,33 +172,7 @@ func PutManifestFile(cacheDir, name string, data []byte) error {
 	if err := ValidManifestName(name); err != nil {
 		return err
 	}
-	dir := filepath.Join(cacheDir, cachestore.ManifestSubdir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("fsstore: creating manifest dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+name+".tmp*")
-	if err != nil {
-		return fmt.Errorf("fsstore: creating manifest temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: writing manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: syncing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: committing manifest: %w", err)
-	}
-	return SyncDir(dir)
+	return WriteFileAtomic(filepath.Join(cacheDir, cachestore.ManifestSubdir), name, data)
 }
 
 // ListManifests returns the shard names under <cacheDir>/manifests/ in

@@ -30,7 +30,7 @@ type Config struct {
 	// Owner is this handle's lease identity.
 	Owner string
 	// TTL / Heartbeat / MaxAttempts tune the lease protocol; zero values take
-	// the same defaults the lease package uses (5s TTL, TTL/3 heartbeat, 5
+	// the same defaults as the filesystem store (5s TTL, TTL/3 heartbeat, 5
 	// attempts).
 	TTL         time.Duration
 	Heartbeat   time.Duration

@@ -5,11 +5,11 @@ import (
 )
 
 // durabilityCritical is where bytes on disk are load-bearing across
-// crashes: the lease protocol, the runner's cache/manifest writes, and the
-// daemon's campaign manifests. PR 8's kill -9 chaos harness proves the
-// contract dynamically; this analyzer pins the code shapes it relies on.
+// crashes: the cache directory's entries, leases, and manifest shards
+// (fsstore), the runner's manifest reads, and the daemon's campaign
+// manifests. The guritachaos kill -9 harness proves the contract dynamically;
+// this analyzer pins the code shapes it relies on.
 var durabilityCritical = []string{
-	"gurita/internal/lease",
 	"gurita/internal/runner",
 	"gurita/internal/cachestore/fsstore",
 	"gurita/internal/serve",
@@ -49,7 +49,7 @@ func runDurability(pass *Pass) error {
 			switch {
 			case isPkgFunc(pass, call, "os", "WriteFile"):
 				pass.Reportf(call.Pos(),
-					"direct os.WriteFile in a durability-critical package; write via a temp+fsync+rename helper (lease.writeFileAtomic / Cache.Put shape) so a crash cannot tear or lose the file")
+					"direct os.WriteFile in a durability-critical package; write via a temp+fsync+rename helper (fsstore.WriteFileAtomic) so a crash cannot tear or lose the file")
 			case isPkgFunc(pass, call, "os", "Create"):
 				pass.Reportf(call.Pos(),
 					"direct os.Create truncates in place in a durability-critical package; write via a temp+fsync+rename helper instead")

@@ -151,12 +151,6 @@ var outputBearing = append([]string{
 	"gurita/internal/topo",
 	"gurita/internal/trace",
 	"gurita/internal/runner",
-	// The lease protocol gates which process executes a trial; a
-	// nondeterministic claim path would not corrupt result bytes (cache
-	// publishes are idempotent) but would corrupt the retry/reclaim
-	// accounting the manifests promise. Wall-clock staleness arithmetic is
-	// its one justified nondeterminism source, carrying a lint waiver.
-	"gurita/internal/lease",
 	// The pluggable store behind campaign execution: cache keys, envelope
 	// bytes, lease arbitration, and manifest shards all flow through these
 	// packages, so nondeterminism here corrupts the exactly-once-bytes

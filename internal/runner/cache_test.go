@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 )
 
 func mustKey(t *testing.T, schema string, spec any) string {
@@ -20,7 +23,7 @@ func mustKey(t *testing.T, schema string, spec any) string {
 }
 
 func TestCacheRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
+	c, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestCacheRoundTrip(t *testing.T) {
 }
 
 // corrupt overwrites a cache entry's file with arbitrary bytes.
-func corrupt(t *testing.T, c *Cache, key string, data []byte) {
+func corrupt(t *testing.T, c *fsstore.Cache, key string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(c.Dir(), key[:2], key+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
@@ -74,7 +77,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 	specJSON, _ := json.Marshal(spec)
 	resultJSON, _ := json.Marshal(run(spec))
 
-	valid := func(t *testing.T, c *Cache, key string) []byte {
+	valid := func(t *testing.T, c *fsstore.Cache, key string) []byte {
 		t.Helper()
 		if err := c.Put(key, specJSON, resultJSON); err != nil {
 			t.Fatal(err)
@@ -94,7 +97,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 		{"empty", func(v []byte) []byte { return nil }},
 		{"garbage", func(v []byte) []byte { return []byte("not json at all {") }},
 		{"wrong-key", func(v []byte) []byte {
-			var e entry
+			var e cachestore.Entry
 			if err := json.Unmarshal(v, &e); err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +106,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 			return out
 		}},
 		{"wrong-schema", func(v []byte) []byte {
-			var e entry
+			var e cachestore.Entry
 			if err := json.Unmarshal(v, &e); err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +115,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 			return out
 		}},
 		{"empty-result", func(v []byte) []byte {
-			var e entry
+			var e cachestore.Entry
 			if err := json.Unmarshal(v, &e); err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +126,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := Open(t.TempDir(), "v1")
+			c, err := fsstore.Open(t.TempDir(), "v1")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +142,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 				executed.Add(1)
 				return run(s), nil
 			}
-			results, stats, err := Run(context.Background(), []trial{spec}, exec, Options{Workers: 1, Cache: c})
+			results, stats, err := Run(context.Background(), []trial{spec}, exec, Options{Workers: 1, Store: storeFor(t, c)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,21 +163,21 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 // misses when reopened under v2, and the v2 run overwrites entries in place.
 func TestCacheSchemaMismatchAcrossOpens(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := Open(dir, "v1")
+	c1, err := fsstore.Open(dir, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := grid(4)
 	exec := func(ctx context.Context, s trial) (outcome, error) { return run(s), nil }
-	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: c1}); err != nil {
+	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: storeFor(t, c1)}); err != nil {
 		t.Fatal(err)
 	}
 
-	c2, err := Open(dir, "v2")
+	c2, err := fsstore.Open(dir, "v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: c2})
+	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: storeFor(t, c2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,7 @@ func TestCacheSchemaMismatchAcrossOpens(t *testing.T) {
 		t.Fatalf("v2 over v1 cache: stats = %+v, want 4 executed", stats)
 	}
 	// And a second v2 pass is fully warm again.
-	_, stats, err = Run(context.Background(), specs, exec, Options{Workers: 2, Cache: c2})
+	_, stats, err = Run(context.Background(), specs, exec, Options{Workers: 2, Store: storeFor(t, c2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +198,7 @@ func TestCacheSchemaMismatchAcrossOpens(t *testing.T) {
 // result does not decode into the caller's type re-executes instead of
 // failing.
 func TestCacheUndecodableResultIsMiss(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
+	c, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestCacheUndecodableResultIsMiss(t *testing.T) {
 		executed.Add(1)
 		return run(s), nil
 	}
-	results, _, err := Run(context.Background(), []trial{spec}, exec, Options{Workers: 1, Cache: c})
+	results, _, err := Run(context.Background(), []trial{spec}, exec, Options{Workers: 1, Store: storeFor(t, c)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +223,10 @@ func TestCacheUndecodableResultIsMiss(t *testing.T) {
 }
 
 func TestOpenValidation(t *testing.T) {
-	if _, err := Open("", "v1"); err == nil {
+	if _, err := fsstore.Open("", "v1"); err == nil {
 		t.Fatal("empty dir accepted")
 	}
-	if _, err := Open(t.TempDir(), ""); err == nil {
+	if _, err := fsstore.Open(t.TempDir(), ""); err == nil {
 		t.Fatal("empty schema accepted")
 	}
 }

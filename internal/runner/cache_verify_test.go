@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 )
 
 // countingCounters is a minimal Counters for asserting emission.
@@ -31,7 +34,7 @@ func (c *countingCounters) get(name string) int64 {
 }
 
 // putTrial stores a valid entry for spec and returns its key and file path.
-func putTrial(t *testing.T, c *Cache, spec trial) (string, string) {
+func putTrial(t *testing.T, c *fsstore.Cache, spec trial) (string, string) {
 	t.Helper()
 	key := mustKey(t, c.Schema(), spec)
 	specJSON, _ := json.Marshal(spec)
@@ -42,9 +45,9 @@ func putTrial(t *testing.T, c *Cache, spec trial) (string, string) {
 	return key, filepath.Join(c.Dir(), key[:2], key+".json")
 }
 
-func quarantined(t *testing.T, c *Cache) []string {
+func quarantined(t *testing.T, c *fsstore.Cache) []string {
 	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(c.Dir(), QuarantineDir))
+	entries, err := os.ReadDir(filepath.Join(c.Dir(), cachestore.QuarantineDir))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
@@ -59,7 +62,7 @@ func quarantined(t *testing.T, c *Cache) []string {
 }
 
 func TestCacheResultTamperQuarantined(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
+	c, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestCacheResultTamperQuarantined(t *testing.T) {
 }
 
 func TestCacheSpecSwapQuarantined(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
+	c, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestCacheSpecSwapQuarantined(t *testing.T) {
 }
 
 func TestCacheUnparsableQuarantined(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
+	c, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestCacheUnparsableQuarantined(t *testing.T) {
 
 func TestCacheSchemaMismatchIsPlainMiss(t *testing.T) {
 	dir := t.TempDir()
-	v1, err := Open(dir, "v1")
+	v1, err := fsstore.Open(dir, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestCacheSchemaMismatchIsPlainMiss(t *testing.T) {
 	// The same entry under a v2 cache is stale, not corrupt: plain miss,
 	// no quarantine. (The v2 key differs, so ask with the v1 key's file in
 	// place under v2's view of that key — i.e. same filename lookup.)
-	v2, err := Open(dir, "v2")
+	v2, err := fsstore.Open(dir, "v2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +188,7 @@ func TestCacheSchemaMismatchIsPlainMiss(t *testing.T) {
 }
 
 func TestCacheLegacyEntryWithoutHashIsPlainMiss(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
+	c, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestCacheLegacyEntryWithoutHashIsPlainMiss(t *testing.T) {
 	specJSON, _ := json.Marshal(spec)
 	resultJSON, _ := json.Marshal(run(spec))
 	// Hand-write a pre-hash-era envelope (no result_sha256).
-	legacy, _ := json.MarshalIndent(entry{Schema: "v1", Key: key, Spec: specJSON, Result: resultJSON}, "", " ")
+	legacy, _ := json.MarshalIndent(cachestore.Entry{Schema: "v1", Key: key, Spec: specJSON, Result: resultJSON}, "", " ")
 	if err := os.MkdirAll(filepath.Join(c.Dir(), key[:2]), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +218,7 @@ func TestCacheLegacyEntryWithoutHashIsPlainMiss(t *testing.T) {
 // recomputation depends on: specs containing HTML-escapable characters
 // ('<', '>', '&') must re-derive their key from the stored envelope.
 func TestCacheEscapedSpecVerifies(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
+	c, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +238,13 @@ func TestCacheEscapedSpecVerifies(t *testing.T) {
 }
 
 func TestCacheLenSkipsBookkeepingSubtrees(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
+	c, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	putTrial(t, c, trial{Name: "one", Seed: 1})
 	putTrial(t, c, trial{Name: "two", Seed: 2})
-	for _, sub := range []string{LeaseSubdir, QuarantineDir, ManifestSubdir, campaignSubdir} {
+	for _, sub := range []string{cachestore.LeaseSubdir, cachestore.QuarantineDir, cachestore.ManifestSubdir, cachestore.CampaignSubdir} {
 		dir := filepath.Join(c.Dir(), sub)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gurita/internal/cachestore/fsstore"
 )
 
 func fetchDoc(t *testing.T, addr, path string) map[string]any {
@@ -208,7 +210,7 @@ func TestIntrospectorCloseIdempotent(t *testing.T) {
 
 func TestRunRecordsRetriesAndManifestIdentity(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := Open(dir, "manifest-test-v1")
+	cache, err := fsstore.Open(dir, "manifest-test-v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestRunRecordsRetriesAndManifestIdentity(t *testing.T) {
 	}
 	var lastProgress Progress
 	results, stats, err := Run(context.Background(), specs, exec, Options{
-		Workers: 1, Cache: cache, Retries: 2, RetryBackoff: time.Millisecond,
+		Workers: 1, Store: storeFor(t, cache), Retries: 2, RetryBackoff: time.Millisecond,
 		Transient:       func(err error) bool { return err.Error() == "transient hiccup" },
 		ContinueOnError: true,
 		Progress:        func(p Progress) { lastProgress = p },

@@ -13,33 +13,43 @@ import (
 	"testing"
 	"time"
 
-	"gurita/internal/lease"
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 )
 
-// leaseMgr opens a lease manager rooted in the cache's leases subdir, the
-// way the facade wires it in production.
-func leaseMgr(t *testing.T, c *Cache, owner string, mut ...func(*lease.Config)) *lease.Manager {
+// leaseStore opens c's root as a filesystem store with its own lease
+// identity — one worker process's handle on a shared cache directory, the
+// way the facade wires CacheDir under MultiProcess.
+func leaseStore(t testing.TB, c *fsstore.Cache, owner string, mut ...func(*fsstore.Config)) *fsstore.Store {
 	t.Helper()
-	cfg := lease.Config{
-		Dir:    filepath.Join(c.Dir(), LeaseSubdir),
-		Owner:  owner,
-		Schema: c.Schema(),
-		TTL:    300 * time.Millisecond,
+	cfg := fsstore.Config{
+		Dir:      c.Dir(),
+		Owner:    owner,
+		Schema:   c.Schema(),
+		TTL:      300 * time.Millisecond,
+		Counters: c.Counters,
 	}
 	for _, f := range mut {
 		f(&cfg)
 	}
-	m, err := lease.Open(cfg)
+	s, err := fsstore.OpenStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return s
 }
 
-func leaseFiles(t *testing.T, c *Cache) []string {
+// storeFor opens c's root as the store a single-process campaign runs
+// against.
+func storeFor(t testing.TB, c *fsstore.Cache) *fsstore.Store {
+	t.Helper()
+	return leaseStore(t, c, "test")
+}
+
+func leaseFiles(t *testing.T, c *fsstore.Cache) []string {
 	t.Helper()
 	var out []string
-	entries, err := os.ReadDir(filepath.Join(c.Dir(), LeaseSubdir))
+	entries, err := os.ReadDir(filepath.Join(c.Dir(), cachestore.LeaseSubdir))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil
@@ -55,7 +65,7 @@ func leaseFiles(t *testing.T, c *Cache) []string {
 }
 
 // TestLeasedRunExactlyOnce races two in-process "worker processes" (separate
-// lease managers, shared cache dir) over one grid and asserts every trial
+// store handles, shared cache dir) over one grid and asserts every trial
 // executed exactly once across both, with identical results, and no lease
 // files left behind.
 func TestLeasedRunExactlyOnce(t *testing.T) {
@@ -76,16 +86,16 @@ func TestLeasedRunExactlyOnce(t *testing.T) {
 	outs := make([]runOut, 2)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		cache, err := Open(dir, "v1")
+		cache, err := fsstore.Open(dir, "v1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := leaseMgr(t, cache, fmt.Sprintf("w%d", w))
+		m := leaseStore(t, cache, fmt.Sprintf("w%d", w))
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			res, stats, err := Run(context.Background(), specs, exec, Options{
-				Workers: 4, Cache: cache, Lease: m,
+				Workers: 4, Store: m, StoreLeases: m,
 			})
 			outs[w] = runOut{res, stats, err}
 		}(w)
@@ -115,7 +125,7 @@ func TestLeasedRunExactlyOnce(t *testing.T) {
 	if served != 2*len(specs) {
 		t.Errorf("served sum = %d, want %d", served, 2*len(specs))
 	}
-	cache, _ := Open(dir, "v1")
+	cache, _ := fsstore.Open(dir, "v1")
 	if files := leaseFiles(t, cache); len(files) != 0 {
 		t.Errorf("lease files left behind: %v", files)
 	}
@@ -125,29 +135,29 @@ func TestLeasedRunExactlyOnce(t *testing.T) {
 // mid-trial without releasing) and asserts a fresh campaign reclaims it,
 // executes the trial, and reports the reclaim.
 func TestLeasedReclaimFromDeadOwner(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
+	cache, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := grid(3)
 	key := mustKey(t, "v1", specs[1])
 
-	dead := leaseMgr(t, cache, "dead-worker")
-	c, err := dead.Claim(key)
-	if err != nil || c.State != lease.StateAcquired {
-		t.Fatalf("setup claim: %+v, %v", c, err)
+	dead := leaseStore(t, cache, "dead-worker")
+	l, err := dead.Claim(context.Background(), key)
+	if err != nil || l.State != cachestore.LeaseAcquired {
+		t.Fatalf("setup claim: %+v, %v", l, err)
 	}
 	// The owner "dies": no release, no heartbeat; age the lease stale.
 	past := time.Now().Add(-time.Minute)
-	leasePath := filepath.Join(cache.Dir(), LeaseSubdir, key+".lease")
+	leasePath := filepath.Join(cache.Dir(), cachestore.LeaseSubdir, key+".lease")
 	if err := os.Chtimes(leasePath, past, past); err != nil {
 		t.Fatal(err)
 	}
 
-	m := leaseMgr(t, cache, "w1")
+	m := leaseStore(t, cache, "w1")
 	res, stats, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		return run(s), nil
-	}, Options{Workers: 2, Cache: cache, Lease: m})
+	}, Options{Workers: 2, Store: m, StoreLeases: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +180,17 @@ func TestLeasedReclaimFromDeadOwner(t *testing.T) {
 // campaign must serve the trial from the peer's publish (a dedup hit), not
 // execute it.
 func TestLeasedWaitsForLivePeer(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
+	cache, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := []trial{{Name: "shared", Seed: 9}}
 	key := mustKey(t, "v1", specs[0])
 
-	peer := leaseMgr(t, cache, "peer", func(c *lease.Config) { c.TTL = 5 * time.Second })
-	pc, err := peer.Claim(key)
-	if err != nil || pc.State != lease.StateAcquired {
-		t.Fatalf("peer claim: %+v, %v", pc, err)
+	peer := leaseStore(t, cache, "peer", func(c *fsstore.Config) { c.TTL = 5 * time.Second })
+	pl, err := peer.Claim(context.Background(), key)
+	if err != nil || pl.State != cachestore.LeaseAcquired {
+		t.Fatalf("peer claim: %+v, %v", pl, err)
 	}
 
 	var executed atomic.Int64
@@ -190,11 +200,11 @@ func TestLeasedWaitsForLivePeer(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		m := leaseMgr(t, cache, "w1", func(c *lease.Config) { c.TTL = 5 * time.Second })
+		m := leaseStore(t, cache, "w1", func(c *fsstore.Config) { c.TTL = 5 * time.Second })
 		res, stats, runErr = Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 			executed.Add(1)
 			return run(s), nil
-		}, Options{Workers: 1, Cache: cache, Lease: m})
+		}, Options{Workers: 1, Store: m, StoreLeases: m})
 	}()
 
 	// Let the campaign hit the busy lease, then publish as the peer would.
@@ -204,7 +214,7 @@ func TestLeasedWaitsForLivePeer(t *testing.T) {
 	if err := cache.Put(key, specJSON, resultJSON); err != nil {
 		t.Fatal(err)
 	}
-	pc.Release()
+	peer.Release(context.Background(), key)
 
 	select {
 	case <-done:
@@ -229,7 +239,7 @@ func TestLeasedWaitsForLivePeer(t *testing.T) {
 // ContinueOnError, which poisons it; worker 2 must inherit the quarantine
 // without executing, as a manifest entry marked Quarantined.
 func TestLeasedPoisonInheritance(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
+	cache, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +247,13 @@ func TestLeasedPoisonInheritance(t *testing.T) {
 	badIdx := 2
 	trialErr := errors.New("deterministic trial failure")
 
-	m1 := leaseMgr(t, cache, "w1")
+	m1 := leaseStore(t, cache, "w1")
 	_, stats1, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		if s == specs[badIdx] {
 			return outcome{}, trialErr
 		}
 		return run(s), nil
-	}, Options{Workers: 2, Cache: cache, Lease: m1, ContinueOnError: true})
+	}, Options{Workers: 2, Store: m1, StoreLeases: m1, ContinueOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +265,11 @@ func TestLeasedPoisonInheritance(t *testing.T) {
 	}
 
 	var executed atomic.Int64
-	m2 := leaseMgr(t, cache, "w2")
+	m2 := leaseStore(t, cache, "w2")
 	_, stats2, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		executed.Add(1)
 		return run(s), nil
-	}, Options{Workers: 2, Cache: cache, Lease: m2, ContinueOnError: true})
+	}, Options{Workers: 2, Store: m2, StoreLeases: m2, ContinueOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,21 +298,23 @@ func TestLeasedPoisonInheritance(t *testing.T) {
 // TestLeasedPoisonAbortsWithoutContinueOnError: a poisoned trial fails the
 // campaign outright when graceful degradation is off.
 func TestLeasedPoisonAbortsWithoutContinueOnError(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
+	cache, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := []trial{{Name: "bad", Seed: 1}}
 	key := mustKey(t, "v1", specs[0])
-	m1 := leaseMgr(t, cache, "w1")
-	c, _ := m1.Claim(key)
-	if err := c.PoisonTrial("hash", 5, errors.New("crash loop")); err != nil {
+	m1 := leaseStore(t, cache, "w1")
+	if _, err := m1.Claim(context.Background(), key); err != nil {
 		t.Fatal(err)
 	}
-	m2 := leaseMgr(t, cache, "w2")
+	if err := m1.PoisonKey(context.Background(), key, "hash", 5, errors.New("crash loop")); err != nil {
+		t.Fatal(err)
+	}
+	m2 := leaseStore(t, cache, "w2")
 	_, _, err = Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		return run(s), nil
-	}, Options{Workers: 1, Cache: cache, Lease: m2})
+	}, Options{Workers: 1, Store: m2, StoreLeases: m2})
 	var pe *PoisonedError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want PoisonedError", err)
@@ -315,7 +327,7 @@ func TestLeasedPoisonAbortsWithoutContinueOnError(t *testing.T) {
 // TestLeasedDrainReleasesLeases: a drain mid-campaign must not leave lease
 // files behind for trials that were skipped or in flight.
 func TestLeasedDrainReleasesLeases(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
+	cache, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,13 +335,13 @@ func TestLeasedDrainReleasesLeases(t *testing.T) {
 	drain := make(chan struct{})
 	var once sync.Once
 	var doneBeforeDrain atomic.Int64
-	m := leaseMgr(t, cache, "w1")
+	m := leaseStore(t, cache, "w1")
 	_, stats, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		if doneBeforeDrain.Add(1) == 4 {
 			once.Do(func() { close(drain) })
 		}
 		return run(s), nil
-	}, Options{Workers: 2, Cache: cache, Lease: m, Drain: drain})
+	}, Options{Workers: 2, Store: m, StoreLeases: m, Drain: drain})
 	if err != nil && !errors.Is(err, ErrDrained) {
 		t.Fatal(err)
 	}
@@ -382,7 +394,7 @@ func TestFlightFollowerStallDeadline(t *testing.T) {
 
 	// Runner layer: a campaign sharing the stalled flight completes by
 	// executing independently.
-	cache, err := Open(t.TempDir(), "v1")
+	cache, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +412,7 @@ func TestFlightFollowerStallDeadline(t *testing.T) {
 	<-stuckIn
 	res, stats, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		return run(s), nil
-	}, Options{Workers: 1, Cache: cache, Flight: flight})
+	}, Options{Workers: 1, Store: storeFor(t, cache), Flight: flight})
 	if err != nil {
 		t.Fatalf("campaign with stalled leader: %v", err)
 	}
@@ -467,26 +479,18 @@ func TestRetryJitterDeterministic(t *testing.T) {
 // publish + release. The comparison point is the same path without a lease
 // manager; the delta is the multi-process tax. Pinned in BENCH_baseline.json.
 func BenchmarkMultiProcessOverhead(b *testing.B) {
-	cache, err := Open(b.TempDir(), "bench-v1")
+	cache, err := fsstore.Open(b.TempDir(), "bench-v1")
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := lease.Open(lease.Config{
-		Dir:    filepath.Join(cache.Dir(), LeaseSubdir),
-		Owner:  "bench",
-		Schema: cache.Schema(),
-		TTL:    time.Minute,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := leaseStore(b, cache, "bench", func(c *fsstore.Config) { c.TTL = time.Minute })
 	exec := func(_ context.Context, s trial) (outcome, error) { return run(s), nil }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		specs := []trial{{Name: "bench", Seed: int64(i)}}
 		if _, _, err := Run(context.Background(), specs, exec, Options{
-			Workers: 1, Cache: cache, Lease: m,
+			Workers: 1, Store: m, StoreLeases: m,
 		}); err != nil {
 			b.Fatal(err)
 		}

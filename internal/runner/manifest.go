@@ -4,13 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"gurita/internal/cachestore/fsstore"
 )
 
 // WorkerManifest is one worker process's account of a multi-process
@@ -76,11 +74,6 @@ func GridHash(keys []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// manifestDir is where shards live inside a cache root.
-func manifestDir(cacheDir string) string {
-	return filepath.Join(cacheDir, ManifestSubdir)
-}
-
 // ManifestName is the canonical shard filename for an owner on a grid:
 // <owner>-<grid[:8]>.json. Reruns by the same owner on the same grid
 // overwrite their shard instead of accumulating.
@@ -91,9 +84,9 @@ func ManifestName(owner, grid string) string {
 	return fmt.Sprintf("%s-%s.json", owner, grid)
 }
 
-// EncodeWorkerManifest renders a shard with the exact bytes
-// WriteWorkerManifest persists, for callers publishing through a remote
-// manifest store instead of the local filesystem.
+// EncodeWorkerManifest renders a shard's bytes, which every backend
+// publishes verbatim through cachestore.ManifestStore.PutManifest under
+// ManifestName(m.Owner, m.Grid).
 func EncodeWorkerManifest(m WorkerManifest) ([]byte, error) {
 	if m.Owner == "" || m.Grid == "" || m.Schema == "" {
 		return nil, fmt.Errorf("runner: worker manifest needs owner, grid, and schema")
@@ -105,66 +98,22 @@ func EncodeWorkerManifest(m WorkerManifest) ([]byte, error) {
 	return data, nil
 }
 
-// WriteWorkerManifest atomically writes the shard into <cacheDir>/manifests/
-// as <owner>-<grid[:8]>.json and returns its path.
-func WriteWorkerManifest(cacheDir string, m WorkerManifest) (string, error) {
-	data, err := EncodeWorkerManifest(m)
-	if err != nil {
-		return "", err
-	}
-	dir := manifestDir(cacheDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("runner: creating manifest dir: %w", err)
-	}
-	name := ManifestName(m.Owner, m.Grid)
-	final := filepath.Join(dir, name)
-	tmp, err := os.CreateTemp(dir, "."+name+".tmp*")
-	if err != nil {
-		return "", fmt.Errorf("runner: creating manifest temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runner: writing worker manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runner: syncing worker manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runner: closing worker manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runner: committing worker manifest: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	return final, nil
-}
-
 // LoadWorkerManifests reads every shard under <cacheDir>/manifests/ that
 // matches the given schema and grid hash (empty grid matches all grids).
 // Unparsable shards are skipped — a half-dead worker must not block the
 // merged view. Shards come back sorted by owner for deterministic merging.
 func LoadWorkerManifests(cacheDir, schema, grid string) ([]WorkerManifest, error) {
-	entries, err := os.ReadDir(manifestDir(cacheDir))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
+	names, err := fsstore.ListManifests(cacheDir)
 	if err != nil {
-		return nil, fmt.Errorf("runner: reading manifest dir: %w", err)
+		return nil, err
 	}
 	var out []WorkerManifest
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		data, rerr := os.ReadFile(filepath.Join(manifestDir(cacheDir), e.Name()))
-		if rerr != nil {
+		data, ok := fsstore.GetManifestFile(cacheDir, name)
+		if !ok {
 			continue
 		}
 		var m WorkerManifest

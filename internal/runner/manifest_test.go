@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 )
 
 func TestGridHash(t *testing.T) {
@@ -31,12 +34,21 @@ func TestWorkerManifestRoundTrip(t *testing.T) {
 		Failures: []TrialFailure{{Index: 2, Key: "k3", Err: "boom", Attempts: 2, SpecHash: "h3"}},
 	}, map[string]int64{"lease.acquired": 2})
 
-	path, err := WriteWorkerManifest(dir, m)
-	if err != nil {
-		t.Fatal(err)
+	// Shards are published the way both backends do it: the encoded bytes
+	// through the manifest store under ManifestName.
+	publish := func(m WorkerManifest) {
+		t.Helper()
+		data, err := EncodeWorkerManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fsstore.PutManifestFile(dir, ManifestName(m.Owner, m.Grid), data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if filepath.Base(path) != "w1-"+grid[:8]+".json" {
-		t.Errorf("shard name = %s", filepath.Base(path))
+	publish(m)
+	if names, _ := fsstore.ListManifests(dir); len(names) != 1 || names[0] != "w1-"+grid[:8]+".json" {
+		t.Errorf("shard names = %v", names)
 	}
 	got, err := LoadWorkerManifests(dir, "v1", grid)
 	if err != nil {
@@ -48,9 +60,7 @@ func TestWorkerManifestRoundTrip(t *testing.T) {
 
 	// Rewriting the same shard overwrites rather than accumulates.
 	m.Executed = 3
-	if _, err := WriteWorkerManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
+	publish(m)
 	got, _ = LoadWorkerManifests(dir, "v1", grid)
 	if len(got) != 1 || got[0].Executed != 3 {
 		t.Fatalf("rewrite = %+v", got)
@@ -71,7 +81,7 @@ func TestWorkerManifestRoundTrip(t *testing.T) {
 		t.Errorf("missing dir: %v, %+v", err, got)
 	}
 	// Unparsable shards are skipped.
-	if err := os.WriteFile(filepath.Join(manifestDir(dir), "junk.json"), []byte("{torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, cachestore.ManifestSubdir, "junk.json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := LoadWorkerManifests(dir, "v1", grid); err != nil || len(got) != 1 {

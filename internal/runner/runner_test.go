@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gurita/internal/cachestore/fsstore"
 	"gurita/internal/leakcheck"
 )
 
@@ -150,7 +151,7 @@ func TestRunCancellation(t *testing.T) {
 // TestRunResume: an interrupted cached campaign picks up where it stopped —
 // the second invocation executes only the missing trials.
 func TestRunResume(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
+	cache, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRunResume(t *testing.T) {
 		}
 		return run(s), nil
 	}
-	if _, _, err := Run(ctx, specs, exec, Options{Workers: 1, Cache: cache}); !errors.Is(err, context.Canceled) {
+	if _, _, err := Run(ctx, specs, exec, Options{Workers: 1, Store: storeFor(t, cache)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("first run err = %v, want context.Canceled", err)
 	}
 	interrupted := int(executed.Load())
@@ -176,7 +177,7 @@ func TestRunResume(t *testing.T) {
 		executed.Add(1)
 		return run(s), nil
 	}
-	results, stats, err := Run(context.Background(), specs, resumed, Options{Workers: 1, Cache: cache})
+	results, stats, err := Run(context.Background(), specs, resumed, Options{Workers: 1, Store: storeFor(t, cache)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestRunResume(t *testing.T) {
 	}
 
 	// Third run: fully warm, nothing executes.
-	_, stats, err = Run(context.Background(), specs, resumed, Options{Workers: 4, Cache: cache})
+	_, stats, err = Run(context.Background(), specs, resumed, Options{Workers: 4, Store: storeFor(t, cache)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestRunResume(t *testing.T) {
 }
 
 func TestRunForceReexecutes(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
+	cache, err := fsstore.Open(t.TempDir(), "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +211,11 @@ func TestRunForceReexecutes(t *testing.T) {
 		executed.Add(1)
 		return run(s), nil
 	}
-	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: cache}); err != nil {
+	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: storeFor(t, cache)}); err != nil {
 		t.Fatal(err)
 	}
 	executed.Store(0)
-	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: cache, Force: true})
+	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: storeFor(t, cache), Force: true})
 	if err != nil {
 		t.Fatal(err)
 	}

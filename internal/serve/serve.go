@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -43,6 +42,7 @@ import (
 	"time"
 
 	gurita "gurita"
+	"gurita/internal/cachestore/fsstore"
 	"gurita/internal/metrics"
 	"gurita/internal/obs"
 	"gurita/internal/runner"
@@ -117,11 +117,11 @@ type Config struct {
 // Campaign states, in lifecycle order. A campaign is created running and
 // ends in exactly one of the terminal states.
 const (
-	StateRunning = "running" // executing (or queued at the admission gate)
-	StateDone    = "done"    // every trial produced a result
+	StateRunning = "running"  // executing (or queued at the admission gate)
+	StateDone    = "done"     // every trial produced a result
 	StateDegrade = "degraded" // finished, but some trials failed (see failures)
-	StateDrained = "drained" // soft-stopped by drain; resubmit to resume
-	StateFailed  = "failed"  // aborted by an execution error
+	StateDrained = "drained"  // soft-stopped by drain; resubmit to resume
+	StateFailed  = "failed"   // aborted by an execution error
 )
 
 // Server is the daemon: create with New, mount Handler on an http.Server,
@@ -540,9 +540,9 @@ func (s *Server) settle(c *campaign, done int) {
 }
 
 // flushManifest writes the campaign's terminal record atomically and
-// durably: temp file in the manifest directory, fsync, rename, directory
-// fsync — the same protocol as the cache's Put, so a crash immediately
-// after a drain cannot lose the manifest a resume would read.
+// durably through the cache directory's one write protocol
+// (fsstore.WriteFileAtomic), so a crash immediately after a drain cannot
+// lose the manifest a resume would read.
 func (s *Server) flushManifest(c *campaign) error {
 	c.mu.Lock()
 	m := Manifest{
@@ -563,49 +563,7 @@ func (s *Server) flushManifest(c *campaign) error {
 	if err != nil {
 		return err
 	}
-	dir := manifestDir(s.cfg.CacheDir)
-	tmp, err := os.CreateTemp(dir, c.id+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, c.id+".json")); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs the manifest directory so a just-renamed manifest survives
-// a crash. Filesystems that cannot sync directories (EINVAL/ENOTSUP) are
-// tolerated: the rename is still atomic, only the durability window widens.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("serve: opening manifest dir for sync: %w", err)
-	}
-	err = d.Sync()
-	//lint:ignore durability read-only directory handle; Sync's error above is the durable signal
-	d.Close()
-	if err != nil && (errors.Is(err, fs.ErrInvalid) || errors.Is(err, errors.ErrUnsupported)) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("serve: syncing manifest dir: %w", err)
-	}
-	return nil
+	return fsstore.WriteFileAtomic(manifestDir(s.cfg.CacheDir), c.id+".json", append(data, '\n'))
 }
 
 // doc renders the campaign's status document.
